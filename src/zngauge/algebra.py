@@ -14,6 +14,7 @@ underlying operators are tensor products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,8 +85,12 @@ def _spin1_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def make_link_algebra(N: int) -> LinkAlgebra:
-    """Clock/shift pair, basis change, and logarithm branch for Z_N."""
+    """Clock/shift pair, basis change, and logarithm branch for Z_N.
+
+    Cached per N; every array is read-only, so copy before writing.
+    """
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     omega = np.exp(2j * np.pi / N)
@@ -105,6 +110,9 @@ def make_link_algebra(N: int) -> LinkAlgebra:
         sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
         sz = np.diag([1.0, -1.0]).astype(np.complex128) / 2
         f_half = (sx, sy, sz)
+    for a in (p, q, dft, log_p, log_q, f_z, f_x, f_y, *(f_half or ())):
+        if a is not None:
+            a.setflags(write=False)
     return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y, f_half)
 
 
@@ -223,11 +231,27 @@ def gauss_law_operator(layout: RegisterLayout, vertex: Vertex) -> dict[int, np.n
 
 
 def gauss_expectations(state: StateVector) -> dict[Vertex, complex]:
-    """<Theta(x)> for every vertex (1 on gauge-invariant states)."""
+    """<Theta(x)> for every vertex (1 on gauge-invariant states).
+
+    Every Gauss factor is diagonal, so each expectation is the marginal
+    of |psi|^2 on the vertex's support dotted with the product of the
+    factor diagonals; a non-diagonal factor raises ValueError.
+    """
+    layout = state.layout
+    probs = (np.abs(state.amplitudes) ** 2).reshape(tuple(layout.dims))
     out = {}
-    for v in state.layout.geometry.vertices:
-        rotated = apply_factors(state, gauss_law_operator(state.layout, v))
-        out[v] = complex(np.vdot(state.amplitudes, rotated.amplitudes))
+    for v in layout.geometry.vertices:
+        factors = gauss_law_operator(layout, v)
+        support = sorted(factors)
+        diag = np.ones(1, dtype=np.complex128)
+        for i in support:
+            m = factors[i]
+            if np.any(m - np.diag(np.diagonal(m))):
+                raise ValueError(f"Gauss factor on register {i} at vertex {v} is not diagonal")
+            diag = np.kron(diag, np.diagonal(m))
+        others = tuple(i for i in range(probs.ndim) if i not in factors)
+        marginal = probs.sum(axis=others)
+        out[v] = complex(np.dot(marginal.reshape(-1), diag))
     return out
 
 

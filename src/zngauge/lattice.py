@@ -289,15 +289,29 @@ def apply_gate(state: StateVector, gate_matrix: np.ndarray, targets: list[int]) 
 
 def _apply_gate_array(amplitudes: np.ndarray, layout: RegisterLayout,
                       gate_matrix: np.ndarray, targets) -> np.ndarray:
-    """Gate kernel on raw amplitudes; trailing axes beyond the layout are batch."""
-    targets = list(targets)
-    dims = layout.dims
-    nreg = len(dims)
+    """One gate on raw amplitudes, run as a one-group plan; trailing axes
+    beyond the layout are batch."""
+    dims = tuple(int(d) for d in layout.dims)
+    return run_gates((gate_group(dims, gate_matrix, targets),), dims, amplitudes)
+
+
+@dataclass(frozen=True)
+class GateGroup:
+    """A checked unitary on `targets`: its diagonal (1-D) when the matrix is
+    diagonal, else the dense matrix, in the mixed-radix basis of `targets`."""
+
+    targets: tuple[int, ...]
+    matrix: np.ndarray
+
+
+def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
+    """Check targets, shape and unitarity of a gate and classify it."""
+    targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
-        raise ValueError(f"repeated targets: {targets}")
+        raise ValueError(f"repeated targets: {list(targets)}")
     for t in targets:
-        if not (0 <= t < nreg):
-            raise ValueError(f"target {t} out of range (have {nreg} registers)")
+        if not (0 <= t < len(dims)):
+            raise ValueError(f"target {t} out of range (have {len(dims)} registers)")
     gate = np.asarray(gate_matrix, dtype=np.complex128)
     d_gate = int(np.prod([dims[t] for t in targets]))
     if gate.shape != (d_gate, d_gate):
@@ -305,17 +319,76 @@ def _apply_gate_array(amplitudes: np.ndarray, layout: RegisterLayout,
     err = np.abs(gate.conj().T @ gate - np.eye(d_gate)).max()
     if err > UNITARITY_TOL:
         raise ValueError(f"gate not unitary: max |U!U - 1| = {err:.3e}")
+    diag = np.diagonal(gate)
+    if not np.any(gate - np.diag(diag)):
+        gate = diag.copy()
+    return GateGroup(targets, gate)
 
-    batch_shape = amplitudes.shape[1:] if amplitudes.ndim > 1 else ()
-    work = amplitudes.reshape(tuple(dims) + batch_shape)
-    front = list(range(len(targets)))
-    work = np.moveaxis(work, targets, front)
-    moved_shape = work.shape
-    work = work.reshape(d_gate, -1)
-    work = gate @ work
-    work = work.reshape(moved_shape)
-    work = np.moveaxis(work, front, targets)
-    return work.reshape(amplitudes.shape)
+
+def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarray:
+    """Apply checked gate groups in order; trailing axes beyond `dims` are batch.
+
+    The input is never written.  The work happens in at most two complex
+    buffers the size of the input, and the array's stored axis order is
+    tracked instead of restored after every group:
+
+    - a diagonal group multiplies in place, broadcast over the stored axes;
+    - a dense group copies the array with its targets leading into the spare
+      buffer (skipped when they already lead), then one matmul writes the
+      other buffer;
+    - one final transpose copy restores register order, when needed.
+    """
+    shape = tuple(int(d) for d in dims)
+    if amplitudes.ndim > 1:
+        shape += (int(np.prod(amplitudes.shape[1:])),)
+    src = amplitudes.reshape(shape)
+    if not groups:
+        return np.array(amplitudes, dtype=np.complex128)
+    bufs = [None, None]
+
+    def buffer(i: int) -> np.ndarray:
+        if bufs[i] is None:
+            bufs[i] = np.empty(src.size, dtype=np.complex128)
+        return bufs[i]
+
+    order = list(range(len(shape)))   # logical axis at each stored position
+    cur, held = src, None              # held: index of the buffer holding cur
+    for g in groups:
+        stored = [shape[a] for a in order]
+        view = cur.reshape(stored)
+        home = 0 if held is None else held
+        pos = sorted(order.index(t) for t in g.targets)
+        lead = [order[p] for p in pos]        # targets in their stored order
+        k = len(lead)
+        tdims = [shape[t] for t in g.targets]
+        axes = [g.targets.index(t) for t in lead]
+        if g.matrix.ndim == 1:
+            bshape = [1] * len(order)
+            for p in pos:
+                bshape[p] = stored[p]
+            diag = g.matrix.reshape(tdims).transpose(axes).reshape(bshape)
+            cur = np.multiply(view, diag, out=buffer(home).reshape(stored))
+            held = home
+            continue
+        gate = g.matrix
+        d = gate.shape[0]
+        if axes != list(range(k)):
+            gate = gate.reshape(tdims + tdims).transpose(axes + [k + a for a in axes])
+            gate = gate.reshape(d, d)
+        if pos == list(range(k)):
+            held = 1 - home
+        else:
+            rest = [p for p in range(len(order)) if p not in pos]
+            order = lead + [order[p] for p in rest]
+            moved = buffer(1 - home).reshape([shape[a] for a in order])
+            np.copyto(moved, view.transpose(pos + rest))
+            view, held = moved, home
+        cur = np.matmul(gate, view.reshape(d, -1), out=buffer(held).reshape(d, -1))
+    if order != sorted(order):
+        out = buffer(1 - held).reshape(shape)
+        np.copyto(out, cur.reshape([shape[a] for a in order]).transpose(np.argsort(order)))
+        cur = out
+    return cur.reshape(amplitudes.shape)
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

@@ -14,7 +14,7 @@ explicit idle markers so every label from 1 to 35 appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -24,16 +24,21 @@ from .lattice import (
     RegisterLayout,
     StateVector,
     Vertex,
-    _apply_gate_array,
+    GateGroup,
     build_global_singlet,
+    gate_group,
     is_even,
     lift_physical,
     project_ancillas,
+    run_gates,
 )
 from .algebra import Couplings, gauss_expectations
 from .stators import COLLISION_ANGLE, GateOp, gate_matrix
 
 GRADIENT_TOL = 1e-12
+
+# largest joint dimension of the targets of one fused gate group
+_FUSE_MAX_DIM = 72
 
 # stage windows of the four link-class blocks in choreography mode
 EV_WINDOW = (2, 6)
@@ -79,6 +84,8 @@ class Schedule:
     theta: float
     theta_prime: float
     substeps: tuple[tuple[str, int, int], ...]
+    # fused gate plans by op range, built on first execution
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gate_count(self, include_idle: bool = False) -> int:
         return sum(1 for op in self.ops if include_idle or op.name != "idle")
@@ -367,7 +374,8 @@ def _substep_ranges(ops: list[GateOp], windows) -> tuple[tuple[str, int, int], .
     for label, lo, hi in windows:
         idx = [i for i, op in enumerate(ops) if lo <= op.stage <= hi]
         if idx:
-            assert len(idx) == idx[-1] + 1 - idx[0], f"window {label} not contiguous"
+            if len(idx) != idx[-1] + 1 - idx[0]:
+                raise ValueError(f"substep window {label} is not contiguous")
             out.append((label, idx[0], idx[-1] + 1))
     return tuple(out)
 
@@ -429,6 +437,38 @@ def _cached_gate(name: str, params: tuple[float, ...], dims: tuple[int, ...]) ->
     return m
 
 
+def _fuse(dims: tuple[int, ...], ops) -> tuple[GateGroup, ...]:
+    """Greedy fusion of consecutive non-idle ops into checked gate groups.
+
+    A group grows while the joint dimension of its targets stays within
+    _FUSE_MAX_DIM; its matrix is the ordered product of its members,
+    built by pushing each member through the gate kernel.
+    """
+    groups: list[GateGroup] = []
+    targets: list[int] = []
+    matrix = None
+    for op in ops:
+        if op.name == "idle":
+            continue
+        for t in op.targets:
+            if not (0 <= t < len(dims)):
+                raise ValueError(f"target {t} out of range (have {len(dims)} registers)")
+        gate = _cached_gate(op.name, op.params, tuple(dims[t] for t in op.targets))
+        union = targets + [t for t in op.targets if t not in targets]
+        if matrix is not None and np.prod([dims[t] for t in union]) > _FUSE_MAX_DIM:
+            groups.append(gate_group(dims, matrix, targets))
+            targets, matrix, union = [], None, list(op.targets)
+        udims = tuple(dims[t] for t in union)
+        d_new = int(np.prod(udims[len(targets):]))
+        base = np.eye(d_new) if matrix is None else np.kron(matrix, np.eye(d_new))
+        member = gate_group(udims, gate, [union.index(t) for t in op.targets])
+        matrix = run_gates((member,), udims, base)
+        targets = union
+    if matrix is not None:
+        groups.append(gate_group(dims, matrix, targets))
+    return tuple(groups)
+
+
 def execute(schedule: Schedule, state: StateVector) -> StateVector:
     """Apply every gate in order; idle markers are skipped."""
     if state.layout is not schedule.layout and state.layout != schedule.layout:
@@ -439,18 +479,18 @@ def execute(schedule: Schedule, state: StateVector) -> StateVector:
 
 def execute_array(schedule: Schedule, amplitudes: np.ndarray,
                   op_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Raw-array executor; trailing axes beyond the register dims are batch."""
-    layout = schedule.layout
-    dims = tuple(int(d) for d in layout.dims)
-    work = amplitudes
+    """Raw-array executor; trailing axes beyond the register dims are batch.
+
+    Runs the schedule's fused gate plan for the op range, built on the
+    first call and kept on the schedule.
+    """
+    dims = tuple(int(d) for d in schedule.layout.dims)
     lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
-    for op in schedule.ops[lo:hi]:
-        if op.name == "idle":
-            continue
-        tdims = tuple(dims[t] for t in op.targets)
-        work = _apply_gate_array(work, layout, _cached_gate(op.name, op.params, tdims),
-                                 list(op.targets))
-    return work
+    key = slice(lo, hi).indices(len(schedule.ops))[:2]
+    plan = schedule._plans.get(key)
+    if plan is None:
+        plan = schedule._plans[key] = _fuse(dims, schedule.ops[lo:hi])
+    return run_gates(plan, dims, amplitudes)
 
 
 def schedule_physical_map(schedule: Schedule,

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import zngauge.algebra as algebra_module
 from conftest import embed_on, taylor_expm
 from zngauge.algebra import (
     TERM_NAMES,
@@ -269,3 +270,39 @@ def test_couplings_validation():
         Couplings(lambda_e=float("nan"))
     with pytest.raises(ValueError):
         Couplings(h_e_variant="zN")
+
+
+@pytest.mark.parametrize("geo", [(2, 2), (3, 2)])
+def test_gauss_expectations_match_the_operator_form(geo):
+    lay = build_layout(LatticeGeometry(*geo), 3)
+    rng = np.random.default_rng(17)
+    amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+    st = StateVector(lay, amp / np.linalg.norm(amp))
+    got = gauss_expectations(st)
+    assert list(got) == lay.geometry.vertices
+    for v, val in got.items():
+        rotated = apply_factors(st, gauss_law_operator(lay, v))
+        want = complex(np.vdot(st.amplitudes, rotated.amplitudes))
+        assert abs(val - want) <= 1e-12, v
+        assert abs(val - 1.0) > 0.1, v    # the state is far from gauge invariant
+
+
+def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
+    honest = algebra_module.gauss_law_operator
+
+    def skewed(layout, vertex):
+        factors = honest(layout, vertex)
+        factors[layout.link_index(((0, 0), 1))] = make_link_algebra(3).q
+        return factors
+
+    monkeypatch.setattr(algebra_module, "gauss_law_operator", skewed)
+    with pytest.raises(ValueError, match="not diagonal"):
+        gauss_expectations(build_global_singlet(layout22))
+
+
+def test_link_algebra_is_cached_and_read_only():
+    alg = make_link_algebra(3)
+    assert make_link_algebra(3) is alg
+    for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q, alg.f_z, *alg.f_half):
+        with pytest.raises(ValueError):
+            a[0, 0] = 0.0

@@ -14,9 +14,11 @@ from zngauge.algebra import (
     random_gauge_invariant_physical,
     term_matrix,
 )
+import zngauge.schedule as schedule_module
 from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
+    _apply_gate_array,
     build_global_singlet,
     build_layout,
     fidelity_up_to_phase,
@@ -24,6 +26,7 @@ from zngauge.lattice import (
     project_ancillas,
 )
 from zngauge.schedule import (
+    _substep_ranges,
     compile_step,
     dump_schedule,
     execute,
@@ -37,6 +40,7 @@ from zngauge.schedule import (
     total_fermion_number,
     trotter_evolve,
 )
+from zngauge.stators import GateOp, gate_matrix
 
 TAU = 0.1
 
@@ -313,3 +317,73 @@ def test_execute_array_slicing_matches_manual(sched_dir1, layout22):
     for _, lo, hi in sched_dir1.substeps:
         parts = execute_array(sched_dir1, parts, (lo, hi))
     assert np.abs(whole - parts).max() < 1e-12
+
+
+def reference_execute(sched, amplitudes, op_range=None):
+    """Gate-by-gate loop of the single-gate kernel over Schedule.ops."""
+    lo, hi = op_range if op_range is not None else (0, len(sched.ops))
+    dims = sched.layout.dims
+    work = amplitudes
+    for op in sched.ops[lo:hi]:
+        if op.name != "idle":
+            gate = gate_matrix(op.name, op.params, tuple(int(dims[t]) for t in op.targets))
+            work = _apply_gate_array(work, sched.layout, gate, op.targets)
+    return work
+
+
+@pytest.mark.parametrize("geo", [(2, 2), (3, 2)])
+@pytest.mark.parametrize("mode", ["choreography", "direct"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_fused_executor_matches_gate_loop(geo, mode, order):
+    lay = build_layout(LatticeGeometry(*geo), 3)
+    cpl = Couplings(lambda_e=0.8, lambda_b=1.3, lambda_gm=0.9, mass=1.1)
+    sched = compile_step(lay, cpl, 0.4, mode, order, theta=0.3, theta_prime=0.7)
+    rng = np.random.default_rng(21)
+    amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+    amp /= np.linalg.norm(amp)
+    saved = amp.copy()
+
+    # every substep slice, chained: the slices tile the step, so the chain
+    # also yields the reference for the whole step
+    want = amp
+    for _, lo, hi in sched.substeps:
+        got = execute_array(sched, want, (lo, hi))
+        want = reference_execute(sched, want, (lo, hi))
+        assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(execute_array(sched, amp) - want).max() <= 1e-12
+    assert np.array_equal(amp, saved)
+
+    # the physical-map batch (3x2 has no feasible one: 139968 columns),
+    # checked on every 97th column
+    if geo != (2, 2):
+        return
+    batch = lift_physical(np.eye(lay.physical_dim, dtype=np.complex128), lay)
+    cols = np.arange(0, lay.physical_dim, 97)
+    saved = batch.copy()
+    got = execute_array(sched, batch)
+    assert got.shape == batch.shape
+    assert np.array_equal(batch, saved)
+    want = reference_execute(sched, batch[:, cols])
+    assert np.abs(got[:, cols] - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad, message", [(1.5 * np.eye(2), "unitary"),
+                                          (np.eye(3), "shape")])
+def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, message):
+    cached = schedule_module._cached_gate
+
+    def faulty(name, params, dims):
+        return bad if name == "mass_phase" else cached(name, params, dims)
+
+    monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
+    sched = compile_step(layout22, cpl1, TAU, "direct", 1)
+    amp = build_global_singlet(layout22).amplitudes
+    with pytest.raises(ValueError, match=message):
+        execute_array(sched, amp)
+
+
+def test_substep_ranges_reject_a_split_window():
+    ops = [GateOp("flip_anc", (8,), (), s) for s in (1, 2, 1)]
+    assert _substep_ranges(ops[:2], (("a", 1, 1), ("b", 2, 2))) == (("a", 0, 1), ("b", 1, 2))
+    with pytest.raises(ValueError, match="not contiguous"):
+        _substep_ranges(ops, (("a", 1, 1),))
