@@ -23,7 +23,6 @@ from .lattice import (
     RegisterLayout,
     StateVector,
     Vertex,
-    apply_gate,
     is_even,
 )
 
@@ -116,13 +115,58 @@ def make_link_algebra(N: int) -> LinkAlgebra:
     return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y, f_half)
 
 
+def hermitian_blocks(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigendecomposition of a Hermitian matrix, one exact-zero block at a time.
+
+    The connected components of the pattern (h != 0) | (h.T != 0) are the
+    diagonal blocks of h up to a permutation, so diagonalizing each one
+    gives exactly the spectrum of h, with no threshold.  Components of
+    equal size s are stacked into one entry (indices, eigenvalues,
+    eigenvectors) of shapes (k, s), (k, s), (k, s, s), one row per
+    component with its indices sorted, in increasing s.  As in
+    np.linalg.eigh, only the lower triangle of each block is read.
+    """
+    h = np.asarray(h, dtype=np.complex128)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {h.shape}")
+    neighbors = [np.flatnonzero(row).tolist() for row in (h != 0) | (h.T != 0)]
+    seen = [False] * h.shape[0]
+    by_size: dict[int, list[list[int]]] = {}
+    for seed in range(h.shape[0]):
+        if seen[seed]:
+            continue
+        seen[seed] = True
+        members = [seed]
+        for i in members:      # breadth-first: members grows while it is walked
+            for j in neighbors[i]:
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+        by_size.setdefault(len(members), []).append(sorted(members))
+    blocks = []
+    for size in sorted(by_size):
+        idx = np.array(by_size[size])
+        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
+        blocks.append((idx, w, v))
+    return blocks
+
+
+def exp_blocks(blocks, scale: complex) -> np.ndarray:
+    """Dense exp(scale * h) from the blocks of `hermitian_blocks(h)`."""
+    dim = sum(idx.size for idx, _, _ in blocks)
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for idx, w, v in blocks:
+        vw = v * np.exp(scale * w)[:, None, :]
+        out[idx[:, :, None], idx[:, None, :]] = vw @ v.conj().transpose(0, 2, 1)
+    return out
+
+
 def expm_from_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
-    """exp(scale * h) for Hermitian h via eigendecomposition."""
+    """exp(scale * h) for Hermitian h via its block eigendecomposition."""
     h = np.asarray(h, dtype=np.complex128)
     if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
         raise ValueError("generator is not Hermitian")
-    w, v = np.linalg.eigh(h)
-    return (v * np.exp(scale * w)) @ v.conj().T
+    return exp_blocks(hermitian_blocks(h), scale)
 
 
 # ---------------------------------------------------------------------------
@@ -171,13 +215,6 @@ def hopping_factors(layout: RegisterLayout, link: Link, with_link: bool = True) 
         alg = make_link_algebra(layout.N)
         f[layout.link_index(link)] = alg.q
     return f
-
-
-def apply_factors(state: StateVector, factors: dict[int, np.ndarray]) -> StateVector:
-    """Apply a factor map whose every factor is unitary."""
-    for i, m in sorted(factors.items()):
-        state = apply_gate(state, m, [i])
-    return state
 
 
 def apply_factors_physical(layout: RegisterLayout, amplitudes: np.ndarray,

@@ -260,20 +260,16 @@ def build_global_singlet(layout: RegisterLayout) -> StateVector:
     vacuum), each ancilla in the uniform superposition |in~>, which is the
     eigenvalue-1 eigenvector of the ancilla shift operator.
     """
-    dims = layout.dims
-    amp = np.zeros(layout.total_dim, dtype=np.complex128)
-    amp[0] = 1.0
-    amp = amp.reshape(dims)
-    # occupy odd fermions: move the 1 from digit 0 to digit 1 on those axes
-    for i, r in enumerate(layout.registers):
-        if r.kind == "fermion" and not is_even(r.site):
-            amp = np.roll(amp, 1, axis=i)
-        elif r.kind == "ancilla":
-            uniform = np.ones(r.dim) / np.sqrt(r.dim)
-            shape = [1] * len(dims)
-            shape[i] = r.dim
-            amp = amp.sum(axis=i, keepdims=True) * uniform.reshape(shape)
-    return StateVector(layout, amp.reshape(-1))
+    amp = np.ones(1, dtype=np.complex128)
+    for r in layout.registers:
+        if r.kind == "ancilla":
+            local = np.full(r.dim, 1 / np.sqrt(r.dim), dtype=np.complex128)
+        else:
+            occupied = r.kind == "fermion" and not is_even(r.site)
+            local = np.zeros(r.dim, dtype=np.complex128)
+            local[1 if occupied else 0] = 1.0
+        amp = np.kron(amp, local)
+    return StateVector(layout, amp)
 
 
 def apply_gate(state: StateVector, gate_matrix: np.ndarray, targets: list[int]) -> StateVector:
@@ -401,19 +397,11 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
 def ancilla_restoration_fidelity(state: StateVector) -> float:
     """Overlap of the state with the |in~>-restored-ancilla subspace.
 
-    Projects every ancilla register onto the uniform superposition and
-    returns the resulting norm (1 means the ancillas are exactly back).
+    Returns the norm of the state projected onto the uniform superposition
+    on every ancilla register (1 means the ancillas are exactly back), which
+    equals the norm of its physical amplitudes after `project_ancillas`.
     """
-    layout = state.layout
-    amp = state.amplitudes.reshape(layout.dims)
-    for i in layout.ancilla_indices():
-        d = layout.registers[i].dim
-        uniform = np.ones(d) / np.sqrt(d)
-        shape = [1] * amp.ndim
-        shape[i] = d
-        overlap = np.tensordot(amp, uniform, axes=([i], [0]))
-        amp = np.expand_dims(overlap, i) * uniform.reshape(shape)
-    return float(np.linalg.norm(amp))
+    return float(np.linalg.norm(project_ancillas(state.amplitudes, state.layout)))
 
 
 def project_ancillas(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:

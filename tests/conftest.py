@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra
-from zngauge.lattice import LatticeGeometry, build_layout
+from zngauge.lattice import LatticeGeometry, StateVector, apply_gate, build_layout
 
 
 @pytest.fixture(scope="session")
@@ -61,3 +61,10 @@ def random_unitary(dim, rng):
     z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(z)
     return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def apply_factors(state: StateVector, factors: dict[int, np.ndarray]) -> StateVector:
+    """Apply a factor map whose every factor is unitary, register by register."""
+    for i, m in sorted(factors.items()):
+        state = apply_gate(state, m, [i])
+    return state

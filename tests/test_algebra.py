@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import embed_on, taylor_expm
+from conftest import apply_factors, embed_on, taylor_expm
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
-    apply_factors,
     build_hamiltonian_term,
     electric_single_link,
     embed_physical,
@@ -16,6 +15,7 @@ from zngauge.algebra import (
     fermion_op,
     gauss_expectations,
     gauss_law_operator,
+    hermitian_blocks,
     hopping_factors,
     make_link_algebra,
     multiply_factors,
@@ -92,6 +92,53 @@ def test_expm_from_hermitian_against_taylor():
         assert np.abs(expm_from_hermitian(h, scale) - taylor_expm(scale * h)).max() < 1e-11
     with pytest.raises(ValueError):
         expm_from_hermitian(a)
+
+
+def _planted_blocks(sizes, rng):
+    """Random Hermitian matrix with dense blocks of the given sizes, rows
+    and columns permuted; returns it with the planted index sets."""
+    n = sum(sizes)
+    h = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for s in sizes:
+        a = rng.normal(size=(s, s)) + 1j * rng.normal(size=(s, s))
+        h[start:start + s, start:start + s] = a + a.conj().T
+        start += s
+    perm = rng.permutation(n)
+    h = h[np.ix_(perm, perm)]
+    inv = np.argsort(perm)
+    ends = np.cumsum(sizes)
+    planted = {tuple(sorted(inv[e - s:e])) for s, e in zip(sizes, ends)}
+    return h, planted
+
+
+@pytest.mark.parametrize("case", ["planted", "zero", "diagonal", "one_dense_block"])
+def test_hermitian_blocks_match_dense_eigh(case):
+    rng = np.random.default_rng(21)
+    if case == "planted":
+        h, planted = _planted_blocks([1, 3, 1, 6, 2, 1, 4, 6, 2, 1], rng)
+    elif case == "zero":
+        h, planted = np.zeros((7, 7), dtype=complex), {(i,) for i in range(7)}
+    elif case == "diagonal":
+        h, planted = np.diag(rng.normal(size=9)).astype(complex), {(i,) for i in range(9)}
+    else:
+        h, planted = _planted_blocks([12], rng)
+    n = h.shape[0]
+    blocks = hermitian_blocks(h)
+    found = {tuple(row) for idx, _, _ in blocks for row in idx.tolist()}
+    assert found == planted
+    assert sum(idx.size for idx, _, _ in blocks) == n
+    sizes = [idx.shape[1] for idx, _, _ in blocks]
+    assert sizes == sorted(set(sizes))
+    energies = np.sort(np.concatenate([w.ravel() for _, w, _ in blocks]))
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+    rebuilt = np.zeros_like(h)
+    for idx, w, v in blocks:
+        block = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        rebuilt[idx[:, :, None], idx[:, None, :]] = block
+    np.testing.assert_allclose(rebuilt, h, rtol=0, atol=1e-12)
+    with pytest.raises(ValueError):
+        hermitian_blocks(np.ones((3, 4)))
 
 
 def test_fermion_anticommutation():

@@ -138,6 +138,51 @@ def test_global_singlet_structure(layout22):
     assert ancilla_restoration_fidelity(st) == pytest.approx(1.0, abs=1e-12)
 
 
+def _singlet_by_register_sweep(layout):
+    """Reference singlet: a 1 at digit 0, moved to digit 1 along each odd
+    fermion axis, then every ancilla axis summed and spread uniformly."""
+    dims = layout.dims
+    amp = np.zeros(layout.total_dim, dtype=np.complex128)
+    amp[0] = 1.0
+    amp = amp.reshape(dims)
+    for i, r in enumerate(layout.registers):
+        if r.kind == "fermion" and not is_even(r.site):
+            amp = np.roll(amp, 1, axis=i)
+        elif r.kind == "ancilla":
+            uniform = np.ones(r.dim) / np.sqrt(r.dim)
+            shape = [1] * len(dims)
+            shape[i] = r.dim
+            amp = amp.sum(axis=i, keepdims=True) * uniform.reshape(shape)
+    return amp.reshape(-1)
+
+
+def _restored_norm_by_relift(amplitudes, layout):
+    """Reference ancilla restoration: project each ancilla axis onto the
+    uniform state and lift it back in place, then take the norm."""
+    amp = amplitudes.reshape(layout.dims)
+    for i in layout.ancilla_indices():
+        d = layout.registers[i].dim
+        uniform = np.ones(d) / np.sqrt(d)
+        shape = [1] * amp.ndim
+        shape[i] = d
+        overlap = np.tensordot(amp, uniform, axes=([i], [0]))
+        amp = np.expand_dims(overlap, i) * uniform.reshape(shape)
+    return float(np.linalg.norm(amp))
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (3, 2)])
+def test_singlet_and_restoration_match_the_register_sweeps(shape):
+    lay = build_layout(LatticeGeometry(*shape), 3)
+    singlet = build_global_singlet(lay)
+    assert np.array_equal(singlet.amplitudes, _singlet_by_register_sweep(lay))
+    rng = np.random.default_rng(11)
+    amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+    st = StateVector(lay, amp / np.linalg.norm(amp))
+    want = _restored_norm_by_relift(st.amplitudes, lay)
+    assert abs(ancilla_restoration_fidelity(st) - want) < 1e-14
+    assert abs(ancilla_restoration_fidelity(singlet) - 1.0) < 1e-14
+
+
 def test_apply_gate_matches_brute_force_embedding():
     lay = build_layout(LatticeGeometry(1, 2), 3)  # dims (2, 2, 3), no plaquette
     rng = np.random.default_rng(3)

@@ -5,7 +5,8 @@ import pytest
 
 import zngauge.oracle as oracle
 from conftest import taylor_expm
-from zngauge.algebra import total_hamiltonian
+from zngauge.algebra import (TERM_NAMES, Couplings, expm_from_hermitian, term_matrix,
+                             total_hamiltonian)
 from zngauge.lattice import build_global_singlet, project_ancillas
 from zngauge.oracle import (
     ExactEvolver,
@@ -75,6 +76,34 @@ def test_exact_evolve_statevector_round_trip(layout22, cpl1):
     phys = project_ancillas(st.amplitudes, layout22)
     want = ExactEvolver(h).evolve(0.8, phys)
     np.testing.assert_allclose(project_ancillas(out.amplitudes, layout22), want, atol=1e-12)
+
+
+def test_evolver_matches_dense_eigh_on_the_2x2_hamiltonian(layout22):
+    h = total_hamiltonian(layout22, Couplings(0.7, 1.3, 0.9, 1.1))
+    ev = ExactEvolver(h)
+    # every block lies inside one joint Gauss sector; the largest is the
+    # 18-dimensional gauge-invariant one
+    assert max(idx.shape[1] for idx, _, _ in ev.blocks) <= 18
+    assert sum(idx.size for idx, _, _ in ev.blocks) == layout22.physical_dim
+    w, v = np.linalg.eigh(h)
+    rng = np.random.default_rng(4)
+    amp = rng.normal(size=(h.shape[0], 3)) + 1j * rng.normal(size=(h.shape[0], 3))
+    for t in (0.0, 0.8, -1.7):
+        want = (v * np.exp(-1j * w * t)) @ v.conj().T
+        assert np.abs(ev.propagator(t) - want).max() < 1e-12
+        assert np.abs(ev.evolve(t, amp) - want @ amp).max() < 1e-12
+        assert np.abs(ev.evolve(t, amp[:, 0]) - want @ amp[:, 0]).max() < 1e-12
+
+
+def test_norm_sum_and_term_exponential_match_dense_forms(layout22):
+    cpl = Couplings(0.7, 1.3, 0.9, 1.1)
+    terms = {name: term_matrix(layout22, name, cpl) for name in TERM_NAMES}
+    dense = sum(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in terms.values())
+    assert abs(exact_norm_sum(layout22, cpl) - dense) < 1e-12
+    h = terms["GM_eh"] + terms["Be"]
+    w, v = np.linalg.eigh(h)
+    want = (v * np.exp(-0.6j * w)) @ v.conj().T
+    assert np.abs(expm_from_hermitian(h, -0.6j) - want).max() < 1e-12
 
 
 def test_spectral_norm_against_svd():
