@@ -28,7 +28,11 @@ from .lattice import (
 
 HERMITICITY_TOL = 1e-10
 
-TERM_NAMES = ("E", "M", "Be", "Bo", "GM_eh", "GM_ev", "GM_oh", "GM_ov")
+# the eight pieces of the Hamiltonian and the Couplings field scaling each
+TERM_COUPLINGS = {"E": "lambda_e", "M": "mass", "Be": "lambda_b", "Bo": "lambda_b",
+                  "GM_eh": "lambda_gm", "GM_ev": "lambda_gm",
+                  "GM_oh": "lambda_gm", "GM_ov": "lambda_gm"}
+TERM_NAMES = tuple(TERM_COUPLINGS)
 
 # single fermionic mode, |0> = (1, 0) empty
 SIGMA_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=np.complex128)   # create
@@ -349,7 +353,11 @@ class HamiltonianTerm:
 
     def matrix(self) -> np.ndarray:
         """Dense Hermitian matrix on the physical registers (assembled on call)."""
-        return term_matrix(self.layout, self.name, self.couplings)
+        dim = self.layout.physical_dim
+        h = np.zeros((dim, dim), dtype=np.complex128)
+        for factors in term_factor_maps(self.layout, self.name, self.couplings.h_e_variant):
+            h += embed_physical(self.layout, factors)
+        return self.coupling * h
 
 
 def electric_single_link(alg: LinkAlgebra, variant: str) -> np.ndarray:
@@ -370,83 +378,53 @@ def plaquette_factors(layout: RegisterLayout, p: Vertex) -> dict[int, np.ndarray
     return factors
 
 
-def _term_matrix(layout: RegisterLayout, name: str, coupling: float,
-                 h_e_variant: str = "group") -> np.ndarray:
-    dim = layout.physical_dim
-    geom = layout.geometry
-    alg = make_link_algebra(layout.N)
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    if name == "E":
-        single = electric_single_link(alg, h_e_variant)
-        for l in geom.links:
-            h += embed_physical(layout, {layout.link_index(l): single})
-        return coupling * h
-    if name == "M":
-        for v in geom.vertices:
-            sign = 1.0 if is_even(v) else -1.0
-            h += sign * embed_physical(layout, {layout.fermion_index(v): NUMBER_OP})
-        return coupling * h
-    if name in ("Be", "Bo"):
-        want_even = name == "Be"
-        for p in geom.plaquettes:
-            if is_even(p) != want_even:
-                continue
-            holo = embed_physical(layout, plaquette_factors(layout, p))
-            h += holo + holo.conj().T
-        return coupling * h
-    if name in ("GM_eh", "GM_ev", "GM_oh", "GM_ov"):
-        cls = name.split("_")[1]
-        for l in geom.links:
-            if geom.link_class(l) != cls:
-                continue
-            hop = embed_physical(layout, hopping_factors(layout, l))
-            h += hop + hop.conj().T
-        return coupling * h
-    raise ValueError(f"unknown Hamiltonian term {name!r}")
+def _with_adjoints(maps) -> list[dict[int, np.ndarray]]:
+    out = []
+    for f in maps:
+        out += [f, {i: m.conj().T for i, m in f.items()}]
+    return out
 
 
-def build_hamiltonian_term(layout: RegisterLayout, name: str, couplings: Couplings) -> HamiltonianTerm:
-    """One of the eight independently scheduled Hamiltonian pieces."""
+def term_factor_maps(layout: RegisterLayout, name: str,
+                     h_e_variant: str) -> list[dict[int, np.ndarray]]:
+    """The factor maps whose sum is the named piece, before its coupling.
+
+    This is the one definition of each of the eight pieces: the matrix,
+    the support and the coupling of a HamiltonianTerm all follow from it.
+    Plaquette and hopping pieces list each map followed by its adjoint.
+    """
     if name not in TERM_NAMES:
         raise ValueError(f"unknown term {name!r}; expected one of {TERM_NAMES}")
     geom = layout.geometry
-    coupling = {
-        "E": couplings.lambda_e,
-        "M": couplings.mass,
-        "Be": couplings.lambda_b,
-        "Bo": couplings.lambda_b,
-    }.get(name, couplings.lambda_gm)
-
-    support: list[int] = []
     if name == "E":
-        support = [layout.link_index(l) for l in geom.links]
-    elif name == "M":
-        support = [layout.fermion_index(v) for v in geom.vertices]
-    elif name in ("Be", "Bo"):
-        want_even = name == "Be"
-        for p in geom.plaquettes:
-            if is_even(p) == want_even:
-                support.extend(layout.link_index(l) for l, _ in geom.plaquette_links(p))
-    else:
-        cls = name.split("_")[1]
-        for l in geom.links:
-            if geom.link_class(l) != cls:
-                continue
-            support.append(layout.link_index(l))
-            support.append(layout.fermion_index(l[0]))
-            support.append(layout.fermion_index(geom.link_head(l)))
-    return HamiltonianTerm(name, coupling, tuple(sorted(set(support))), layout, couplings)
+        single = electric_single_link(make_link_algebra(layout.N), h_e_variant)
+        return [{layout.link_index(l): single} for l in geom.links]
+    if name == "M":
+        return [{layout.fermion_index(v): (1.0 if is_even(v) else -1.0) * NUMBER_OP}
+                for v in geom.vertices]
+    if name in ("Be", "Bo"):
+        return _with_adjoints(plaquette_factors(layout, p) for p in geom.plaquettes
+                              if is_even(p) == (name == "Be"))
+    cls = name.split("_")[1]
+    return _with_adjoints(hopping_factors(layout, l) for l in geom.links
+                          if geom.link_class(l) == cls)
+
+
+def build_hamiltonian_term(layout: RegisterLayout, name: str, couplings: Couplings) -> HamiltonianTerm:
+    """One of the eight independently scheduled Hamiltonian pieces.
+
+    Its support is every register on which some factor map of the piece
+    is not the identity (Z.Z ordering strings below both ends drop out).
+    """
+    maps = term_factor_maps(layout, name, couplings.h_e_variant)
+    support = {i for f in maps for i, m in f.items() if not np.array_equal(m, np.eye(len(m)))}
+    return HamiltonianTerm(name, getattr(couplings, TERM_COUPLINGS[name]),
+                           tuple(sorted(support)), layout, couplings)
 
 
 def term_matrix(layout: RegisterLayout, name: str, couplings: Couplings) -> np.ndarray:
     """Dense physical matrix of a named term, honoring the electric variant."""
-    coupling = {
-        "E": couplings.lambda_e,
-        "M": couplings.mass,
-        "Be": couplings.lambda_b,
-        "Bo": couplings.lambda_b,
-    }.get(name, couplings.lambda_gm)
-    return _term_matrix(layout, name, coupling, couplings.h_e_variant)
+    return build_hamiltonian_term(layout, name, couplings).matrix()
 
 
 def total_hamiltonian(layout: RegisterLayout, couplings: Couplings) -> np.ndarray:

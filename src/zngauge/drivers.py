@@ -16,10 +16,10 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (LatticeGeometry, StateVector, ancilla_restoration_fidelity,
-                      born_sample, build_global_singlet, build_layout,
-                      lift_physical, project_ancillas)
-from .algebra import (gauss_expectations, make_link_algebra,
+from .lattice import (LatticeGeometry, RegisterLayout, StateVector,
+                      ancilla_restoration_fidelity, born_sample, build_global_singlet,
+                      build_layout, lift_physical, project_ancillas)
+from .algebra import (Couplings, gauss_expectations, make_link_algebra,
                       random_gauge_invariant_physical, total_hamiltonian)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
@@ -290,20 +290,12 @@ def run_verification_suite(config: SimulationConfig,
     checks.append(_check("collision_calibration", worst_c, 1e-11))
 
     # trotter slopes and bound dominance (uses config's couplings)
-    evolver = ExactEvolver(total_hamiltonian(lay, cpl))
-    target = evolver.propagator(config.T)
-    lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
     slope_rows = []
     dominance = True
     for order in (1, 2):
-        errs = []
-        for m in SCAN_STEPS:
-            s = compile_step(lay, cpl, config.T / m, "direct", order)
-            u_m = np.linalg.matrix_power(schedule_physical_map(s), m)
-            dist = diamond_surrogate_distance(u_m, target, lay.physical_dim)
-            bnd = trotter_bound(order, 2, lam_max, config.T, m)
-            dominance = dominance and dist <= bnd
-            errs.append(dist)
+        errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, order, "direct")
+        dominance = dominance and all(dist <= bnd for dist, bnd, _ in errors)
+        errs = [dist for dist, _, _ in errors]
         slope = float(np.polyfit(np.log(SCAN_STEPS), np.log(errs), 1)[0])
         slope_rows.append((order, slope, errs))
         checks.append(_check(f"trotter_slope_order{order}",
@@ -334,27 +326,41 @@ def run_verification_suite(config: SimulationConfig,
     return all_pass, checks
 
 
+def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, order: int,
+                   mode: str, *, theta: float = 0.0, theta_prime: float = 0.0) -> list[tuple]:
+    """(distance, bound, gate_count) of M compiled Trotter steps over T, per M in steps.
+
+    distance is measured against the exact propagator exp(-iHT), bound
+    is the paper's product-formula bound, gate_count that of one step.
+    """
+    target = ExactEvolver(total_hamiltonian(layout, cpl)).propagator(T)
+    lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
+    out = []
+    for m in steps:
+        sched = compile_step(layout, cpl, T / m, mode, order,
+                             theta=theta, theta_prime=theta_prime)
+        u_m = np.linalg.matrix_power(schedule_physical_map(sched), m)
+        out.append((diamond_surrogate_distance(u_m, target, layout.physical_dim),
+                    trotter_bound(order, 2, lam_max, T, m), sched.gate_count()))
+    return out
+
+
 def run_trotter_scan(config: SimulationConfig, out_dir: str | None = None) -> list[dict]:
     """Error-vs-step-count sweep on 2x2 against the exact propagator."""
     lay = build_layout(LatticeGeometry(2, 2), 3)
     cpl = config.couplings()
-    evolver = ExactEvolver(total_hamiltonian(lay, cpl))
-    target = evolver.propagator(config.T)
-    lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
+    errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, config.order, config.mode,
+                            theta=config.theta, theta_prime=config.theta_prime)
     norm_sum = exact_norm_sum(lay, cpl)
     rows = []
-    for m in SCAN_STEPS:
-        sched = compile_step(lay, cpl, config.T / m, config.mode, config.order,
-                             theta=config.theta, theta_prime=config.theta_prime)
-        u_m = np.linalg.matrix_power(schedule_physical_map(sched), m)
-        dist = diamond_surrogate_distance(u_m, target, lay.physical_dim)
+    for m, (dist, bnd, gates) in zip(SCAN_STEPS, errors):
         rows.append({
             "n_steps": m,
             "tau": config.T / m,
             "distance": dist,
-            "bound": trotter_bound(config.order, 2, lam_max, config.T, m),
+            "bound": bnd,
             "bound_valid": int(bound_validity(config.T, m, norm_sum)),
-            "gate_count": sched.gate_count(),
+            "gate_count": gates,
         })
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -14,7 +14,7 @@ explicit idle markers so every label from 1 to 35 appears.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -33,7 +33,7 @@ from .lattice import (
     run_gates,
 )
 from .algebra import Couplings, gauss_expectations
-from .stators import COLLISION_ANGLE, GateOp, gate_matrix
+from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequence
 
 GRADIENT_TOL = 1e-12
 
@@ -345,13 +345,10 @@ def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
         anc = layout.ancilla_of_plaquette.get(p)
         if anc is None:
             raise ValueError(f"plaquette {p} lacks an ancilla for its sandwich")
-        fwd = []
-        for link, orient in geom.plaquette_links(p):
-            name = "q_entangler" if orient > 0 else "q_entangler_dag"
-            fwd.append(GateOp(name, (layout.link_index(link), anc), (), s))
-        stage_ops[s] += fwd
+        stage_ops[s] += [replace(op, stage=s) for op in plaquette_stator_sequence(layout, p)]
         stage_ops[s].append(GateOp("anc_drive", (anc,), (b_coeff,), s))
-        stage_ops[s] += [op.dagger() for op in reversed(fwd)]
+        stage_ops[s] += [replace(op, stage=s)
+                         for op in plaquette_stator_sequence(layout, p, "inverse")]
 
     for v in geom.vertices:
         sign = 1.0 if is_even(v) else -1.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import Link, RegisterLayout, Vertex
+from .lattice import RegisterLayout, Vertex
 from .algebra import (
     LinkAlgebra,
     NUMBER_OP,
@@ -346,64 +346,3 @@ def plaquette_stator_sequence(layout: RegisterLayout, plaquette: Vertex,
     if direction == "inverse":
         ops = [op.dagger() for op in reversed(ops)]
     return ops
-
-
-# ---------------------------------------------------------------------------
-# gauge-matter gates
-
-
-@dataclass(frozen=True)
-class GaugeMatterBundle:
-    """Everything needed to drive one link's gauge-matter interaction.
-
-    u_w is the direct conjugation gate on (link, origin fermion);
-    u_w_anc_dag its ancilla-mediated stand-in on (origin fermion,
-    ancilla); the two phase gates absorb the free angles theta and
-    theta_prime; tunnel_generator is the bare hopping coupling on the
-    contiguous fermion chain between the endpoints.
-    """
-
-    link: Link
-    link_reg: int
-    origin_reg: int
-    head_reg: int
-    theta: float
-    theta_prime: float
-    u_w: np.ndarray
-    u_w_anc_dag: np.ndarray
-    v_w_phase: np.ndarray
-    v_w_phase_prime: np.ndarray
-    tunnel_targets: tuple[int, ...]
-    tunnel_generator: np.ndarray
-
-
-def gauge_matter_gates(layout: RegisterLayout, link: Link,
-                       theta: float = 0.0, theta_prime: float = 0.0) -> GaugeMatterBundle:
-    """Gate bundle for one link: direct, ancilla-mediated, and phase parts."""
-    geom = layout.geometry
-    if not geom.link_exists(link):
-        raise KeyError(f"link {link} does not exist")
-    origin = link[0]
-    head = geom.link_head(link)
-    origin_reg = layout.fermion_index(origin)
-    head_reg = layout.fermion_index(head)
-    link_reg = layout.link_index(link)
-    N = layout.N
-
-    u_w = gate_matrix("uw", (), (N, 2))
-    u_w_anc_dag = gate_matrix("fermion_anc_phase", (), (2, N))
-    tunnel_targets = tuple(range(origin_reg, head_reg + 1))
-    return GaugeMatterBundle(
-        link=link,
-        link_reg=link_reg,
-        origin_reg=origin_reg,
-        head_reg=head_reg,
-        theta=float(theta),
-        theta_prime=float(theta_prime),
-        u_w=u_w,
-        u_w_anc_dag=u_w_anc_dag,
-        v_w_phase=np.diag([1.0, np.exp(-1j * theta)]).astype(np.complex128),
-        v_w_phase_prime=np.diag([1.0, np.exp(-1j * theta_prime)]).astype(np.complex128),
-        tunnel_targets=tunnel_targets,
-        tunnel_generator=_tunnel_coupling_matrix(len(tunnel_targets)),
-    )

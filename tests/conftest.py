@@ -68,3 +68,70 @@ def apply_factors(state: StateVector, factors: dict[int, np.ndarray]) -> StateVe
     for i, m in sorted(factors.items()):
         state = apply_gate(state, m, [i])
     return state
+
+
+def brute_force_term(layout, name, couplings):
+    """Physical matrix of one Hamiltonian piece, built basis state by basis state.
+
+    Independent of the package's factor maps: each piece acts directly on
+    the tuple of register digits.  A hop that empties mode a and fills
+    mode b carries the Jordan-Wigner sign (-1)^(occupied modes below a),
+    then (-1)^(occupied modes below b) after a is emptied, with modes in
+    row-major vertex order.
+    """
+    geom = layout.geometry
+    N = layout.N
+    coupling = {"E": couplings.lambda_e, "M": couplings.mass,
+                "Be": couplings.lambda_b, "Bo": couplings.lambda_b}.get(name, couplings.lambda_gm)
+    dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
+    f_reg = {v: layout.fermion_index(v) for v in geom.vertices}
+    mode = {v: v[1] * geom.Lx + v[0] for v in geom.vertices}
+
+    def string_sign(digits, v):
+        return (-1) ** sum(digits[f_reg[u]] for u in geom.vertices if mode[u] < mode[v])
+
+    def electric(m):
+        if couplings.h_e_variant == "group":
+            return 1.0 - 2.0 * np.cos(2 * np.pi * m / N)
+        return 1.0 + abs(m if m <= N // 2 else m - N)
+
+    h = np.zeros((int(np.prod(dims)),) * 2, dtype=np.complex128)
+    for col, digits in enumerate(np.ndindex(*dims)):
+        images = []     # (amplitude, image digits)
+        if name == "E":
+            images.append((sum(electric(digits[layout.link_index(l)]) for l in geom.links),
+                           digits))
+        elif name == "M":
+            images.append((sum((-1) ** (v[0] + v[1]) * digits[f_reg[v]] for v in geom.vertices),
+                           digits))
+        elif name in ("Be", "Bo"):
+            for p in geom.plaquettes:
+                if ((p[0] + p[1]) % 2 == 0) != (name == "Be"):
+                    continue
+                for direction in (1, -1):       # holonomy, then its adjoint
+                    image = list(digits)
+                    for link, orient in geom.plaquette_links(p):
+                        r = layout.link_index(link)
+                        image[r] = (image[r] + direction * orient) % N
+                    images.append((1.0, image))
+        else:
+            for link in geom.links:
+                if geom.link_class(link) != name[3:]:
+                    continue
+                x, y = link[0], geom.link_head(link)
+                # psi!(x) Q psi(y) moves a fermion y -> x and raises the link;
+                # its adjoint moves one x -> y and lowers it
+                for src, dst, shift in ((y, x, 1), (x, y, -1)):
+                    if digits[f_reg[src]] != 1 or digits[f_reg[dst]] != 0:
+                        continue
+                    image = list(digits)
+                    amp = string_sign(image, src)
+                    image[f_reg[src]] = 0
+                    amp *= string_sign(image, dst)
+                    image[f_reg[dst]] = 1
+                    r = layout.link_index(link)
+                    image[r] = (image[r] + shift) % N
+                    images.append((amp, image))
+        for amp, image in images:
+            h[np.ravel_multi_index(tuple(image), dims), col] += amp
+    return coupling * h

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import apply_factors, embed_on, taylor_expm
+from conftest import apply_factors, brute_force_term, embed_on, taylor_expm
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
@@ -239,6 +239,49 @@ def test_term_hermiticity_and_support(layout22, cpl1):
             assert term.support
     with pytest.raises(ValueError):
         build_hamiltonian_term(layout22, "X", cpl1)
+
+
+@pytest.mark.parametrize("shape, N", [((1, 3), 3), ((2, 2), 2)])
+@pytest.mark.parametrize("variant", ["group", "z3-implementation"])
+def test_terms_match_brute_force_construction(shape, N, variant):
+    """Every piece against a basis-state construction with explicit string signs."""
+    layout = build_layout(LatticeGeometry(*shape), N)
+    cpl = Couplings(lambda_e=0.7, lambda_b=1.3, lambda_gm=0.9, mass=1.1, h_e_variant=variant)
+    for name in TERM_NAMES:
+        want = brute_force_term(layout, name, cpl)
+        assert np.abs(term_matrix(layout, name, cpl) - want).max() < 1e-12, name
+
+
+def _commutator_with_local(h, op, reg, dims):
+    """max |[h, op on register reg]| without forming the embedded operator."""
+    n = len(dims)
+    t = h.reshape(dims + dims)
+    left = np.moveaxis(np.tensordot(op, t, axes=([1], [reg])), 0, reg)
+    right = np.moveaxis(np.tensordot(t, op, axes=([n + reg], [0])), -1, n + reg)
+    return np.abs(left - right).max()
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3)])
+def test_term_support_is_where_the_matrix_acts(shape):
+    """A register outside a term's support commutes with the term; one inside does not.
+
+    On 2x2 the vertical hops skip a fermion mode, whose ordering string
+    puts the term's action on that register too.
+    """
+    layout = build_layout(LatticeGeometry(*shape), 3)
+    rng = np.random.default_rng(11)
+    dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
+    cpl = Couplings(lambda_e=0.7, lambda_b=1.3, lambda_gm=0.9, mass=1.1)
+    for name in TERM_NAMES:
+        term = build_hamiltonian_term(layout, name, cpl)
+        h = term.matrix()
+        for reg, d in enumerate(dims):
+            op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            comm = _commutator_with_local(h, op, reg, dims)
+            if reg in term.support:
+                assert comm > 1e-3, (name, reg)
+            else:
+                assert comm < 1e-12, (name, reg)
 
 
 def test_term_commutation_census(layout22, cpl1):

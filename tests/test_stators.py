@@ -24,7 +24,6 @@ from zngauge.stators import (
     eta_couplings,
     flip_matrix,
     gate_matrix,
-    gauge_matter_gates,
     n0_pair_phase,
     plaquette_stator_sequence,
     rwa_project,
@@ -342,29 +341,3 @@ def test_stator_mediated_drive_on_full_register_set(layout22, alg3):
     st2 = apply_gate(st2, alg3.p, [8])
     st2 = apply_gate(st2, u_i.conj().T, [4, 8])
     assert ancilla_restoration_fidelity(st2) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# gauge-matter bundles
-
-
-def test_gauge_matter_bundle_contents(layout22):
-    b = gauge_matter_gates(layout22, ((0, 0), 1), theta=0.4, theta_prime=0.9)
-    assert b.link_reg == 4
-    assert b.origin_reg == 0
-    assert b.head_reg == 1
-    assert b.tunnel_targets == (0, 1)     # horizontal neighbors are adjacent modes
-    assert b.u_w.shape == (6, 6)
-    np.testing.assert_allclose(b.v_w_phase, np.diag([1.0, np.exp(-0.4j)]), atol=1e-14)
-    np.testing.assert_allclose(b.v_w_phase_prime, np.diag([1.0, np.exp(-0.9j)]), atol=1e-14)
-    gen = b.tunnel_generator
-    assert gen.shape == (4, 4)
-    assert np.abs(gen - gen.conj().T).max() < 1e-14
-
-    # a vertical link skips one mode, so its ordering string covers it
-    bv = gauge_matter_gates(layout22, ((0, 0), 2))
-    assert bv.head_reg == 2
-    assert bv.tunnel_targets == (0, 1, 2)
-    assert bv.tunnel_generator.shape == (8, 8)
-    with pytest.raises(KeyError):
-        gauge_matter_gates(layout22, ((1, 1), 1))
