@@ -221,16 +221,6 @@ def hopping_factors(layout: RegisterLayout, link: Link, with_link: bool = True) 
     return f
 
 
-def apply_factors_physical(layout: RegisterLayout, amplitudes: np.ndarray,
-                           factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Apply a factor map to physical-register amplitudes (no unitarity check)."""
-    phys_dims = tuple(r.dim for r in layout.registers if r.kind != "ancilla")
-    work = amplitudes.reshape(phys_dims)
-    for i, m in factors.items():
-        work = np.moveaxis(np.tensordot(m, work, axes=([1], [i])), 0, i)
-    return work.reshape(-1)
-
-
 def embed_physical(layout: RegisterLayout, factors: dict[int, np.ndarray]) -> np.ndarray:
     """Dense matrix of a factor map on the physical (non-ancilla) registers."""
     out = np.array([[1.0 + 0j]])
@@ -271,44 +261,53 @@ def gauss_law_operator(layout: RegisterLayout, vertex: Vertex) -> dict[int, np.n
     return factors
 
 
+def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[list[int], np.ndarray]:
+    """Sorted support of Theta(vertex) and the diagonal of Theta on it.
+
+    Every Gauss factor is diagonal; a non-diagonal one raises ValueError.
+    """
+    factors = gauss_law_operator(layout, vertex)
+    support = sorted(factors)
+    diag = np.ones(1, dtype=np.complex128)
+    for i in support:
+        m = factors[i]
+        if np.any(m - np.diag(np.diagonal(m))):
+            raise ValueError(f"Gauss factor on register {i} at vertex {vertex} is not diagonal")
+        diag = np.kron(diag, np.diagonal(m))
+    return support, diag
+
+
 def gauss_expectations(state: StateVector) -> dict[Vertex, complex]:
     """<Theta(x)> for every vertex (1 on gauge-invariant states).
 
-    Every Gauss factor is diagonal, so each expectation is the marginal
-    of |psi|^2 on the vertex's support dotted with the product of the
-    factor diagonals; a non-diagonal factor raises ValueError.
+    Each expectation is the marginal of |psi|^2 on the vertex's support
+    dotted with the diagonal of Theta(x) there.
     """
     layout = state.layout
     probs = (np.abs(state.amplitudes) ** 2).reshape(tuple(layout.dims))
     out = {}
     for v in layout.geometry.vertices:
-        factors = gauss_law_operator(layout, v)
-        support = sorted(factors)
-        diag = np.ones(1, dtype=np.complex128)
-        for i in support:
-            m = factors[i]
-            if np.any(m - np.diag(np.diagonal(m))):
-                raise ValueError(f"Gauss factor on register {i} at vertex {v} is not diagonal")
-            diag = np.kron(diag, np.diagonal(m))
-        others = tuple(i for i in range(probs.ndim) if i not in factors)
+        support, diag = _gauss_diagonal(layout, v)
+        others = tuple(i for i in range(probs.ndim) if i not in support)
         marginal = probs.sum(axis=others)
         out[v] = complex(np.dot(marginal.reshape(-1), diag))
     return out
 
 
 def project_gauge_invariant(layout: RegisterLayout, physical: np.ndarray) -> np.ndarray:
-    """Project physical amplitudes onto the joint Theta(x)=1 sector."""
-    N = layout.N
-    out = physical.astype(np.complex128).copy()
+    """Project physical amplitudes onto the joint Theta(x)=1 sector.
+
+    Per vertex this multiplies by (sum_k d^k) / N on its support, d being
+    the diagonal of Theta(x): the projector (sum_k Theta(x)^k) / N.
+    """
+    phys_dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
+    out = np.asarray(physical, dtype=np.complex128).reshape(phys_dims)
     for v in layout.geometry.vertices:
-        factors = gauss_law_operator(layout, v)
-        acc = out.copy()
-        rotated = out
-        for _ in range(N - 1):
-            rotated = apply_factors_physical(layout, rotated, factors)
-            acc += rotated
-        out = acc / N
-    return out
+        support, diag = _gauss_diagonal(layout, v)
+        proj = sum(diag**k for k in range(layout.N)) / layout.N
+        shape = [d if i in support else 1 for i, d in enumerate(phys_dims)]
+        out = out * proj.reshape(shape)
+    return out.reshape(-1)
 
 
 def random_gauge_invariant_physical(layout: RegisterLayout, rng: np.random.Generator) -> np.ndarray:

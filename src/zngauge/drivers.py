@@ -27,8 +27,8 @@ from .stators import (collision_calibration, eta_couplings, gate_matrix,
 from .schedule import (compile_step, dump_schedule, execute, execute_array,
                        gauge_away_phases, schedule_physical_map, solve_vertex_potential,
                        spurious_phase_field, total_fermion_number)
-from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, diamond_surrogate_distance,
-                     exact_norm_sum, bound_validity, trotter_bound)
+from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
+                     trotter_bound)
 from .optical import polarization_vectors, shaping_schedule, v_mat_minima, wave_vectors
 from .config import SimulationConfig
 
@@ -330,17 +330,17 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
                    mode: str, *, theta: float = 0.0, theta_prime: float = 0.0) -> list[tuple]:
     """(distance, bound, gate_count) of M compiled Trotter steps over T, per M in steps.
 
-    distance is measured against the exact propagator exp(-iHT), bound
-    is the paper's product-formula bound, gate_count that of one step.
+    distance is the exact spectral norm of the step map's M-th power minus
+    exp(-iHT), taken one block of H at a time; bound is the paper's
+    product-formula bound, gate_count that of one step.
     """
-    target = ExactEvolver(total_hamiltonian(layout, cpl)).propagator(T)
+    evolver = ExactEvolver(total_hamiltonian(layout, cpl))
     lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
     out = []
     for m in steps:
         sched = compile_step(layout, cpl, T / m, mode, order,
                              theta=theta, theta_prime=theta_prime)
-        u_m = np.linalg.matrix_power(schedule_physical_map(sched), m)
-        out.append((diamond_surrogate_distance(u_m, target, layout.physical_dim),
+        out.append((evolver.trotter_distance(schedule_physical_map(sched), m, T),
                     trotter_bound(order, 2, lam_max, T, m), sched.gate_count()))
     return out
 

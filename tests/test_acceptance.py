@@ -102,7 +102,7 @@ def commutator_norm(w: np.ndarray, theta: np.ndarray) -> float:
     commutator is formed elementwise; the Hoelder bound
     sqrt(norm_1 * norm_inf) upper-bounds the spectral norm and is enough
     whenever it already clears the tolerance.  Otherwise fall back to
-    the iterative norm.
+    the exact norm.
     """
     d = np.diag(theta)
     if np.abs(theta - np.diag(d)).max() < 1e-15:

@@ -217,6 +217,24 @@ def test_gauge_projector_is_idempotent(layout22):
         assert abs(val - 1.0) < 1e-10
 
 
+def test_gauge_projector_matches_the_dense_product(layout22):
+    """project_gauge_invariant equals prod_v (sum_k Theta(v)^k) / N built densely."""
+    N = layout22.N
+    dense = []
+    for v in layout22.geometry.vertices:
+        factors = gauss_law_operator(layout22, v)
+        dense.append(sum(embed_physical(layout22, {i: np.linalg.matrix_power(m, k)
+                                                   for i, m in factors.items()})
+                         for k in range(N)) / N)
+    rng = np.random.default_rng(8)
+    for _ in range(3):
+        raw = rng.normal(size=layout22.physical_dim) + 1j * rng.normal(size=layout22.physical_dim)
+        want = raw
+        for proj in dense:
+            want = proj @ want
+        assert np.abs(project_gauge_invariant(layout22, raw) - want).max() < 1e-12
+
+
 def test_electric_variants(alg3):
     group = electric_single_link(alg3, "group")
     np.testing.assert_allclose(

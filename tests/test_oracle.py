@@ -119,8 +119,42 @@ def test_spectral_norm_against_svd():
     m = np.outer(u, v)
     want = np.linalg.norm(u) * np.linalg.norm(v)
     assert spectral_norm(m) == pytest.approx(want, rel=1e-6)
-    with pytest.raises(RuntimeError):
-        spectral_norm(rng.normal(size=(50, 50)), tol=1e-16, cap=1)
+
+
+def test_spectral_norm_is_exact_where_an_early_stop_under_reports(layout22, cpl1):
+    """2x2, direct, order 1, T = 5, M = 4: an iteration stopping once successive
+    estimates agreed to 1e-6 returned 1.99962 here, against an exact 1.9999997."""
+    from zngauge.schedule import compile_step, schedule_physical_map
+
+    target = ExactEvolver(total_hamiltonian(layout22, cpl1)).propagator(5.0)
+    step = schedule_physical_map(compile_step(layout22, cpl1, 5.0 / 4, "direct", 1))
+    diff = np.linalg.matrix_power(step, 4) - target
+    want = np.linalg.svd(diff, compute_uv=False)[0]
+    assert spectral_norm(diff) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["choreography", "direct"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_trotter_distance_matches_the_dense_norm(layout22, mode, order):
+    from zngauge.schedule import compile_step, schedule_physical_map
+
+    cpl = Couplings(0.7, 1.3, 0.9, 1.1)
+    ev = ExactEvolver(total_hamiltonian(layout22, cpl))
+    step = schedule_physical_map(compile_step(layout22, cpl, 1.0 / 4, mode, order))
+    want = np.linalg.norm(np.linalg.matrix_power(step, 4) - ev.propagator(1.0), 2)
+    assert abs(ev.trotter_distance(step, 4, 1.0) - want) < 1e-12
+
+
+def test_trotter_distance_rejects_a_step_that_couples_blocks(layout22, cpl1):
+    ev = ExactEvolver(total_hamiltonian(layout22, cpl1))
+    step = ev.propagator(0.3)
+    assert ev.trotter_distance(step, 3, 0.9) < 1e-12
+    # one entry linking the first row of the smallest and of the largest block
+    i = ev.blocks[0][0][0, 0]
+    j = ev.blocks[-1][0][0, 0]
+    step[i, j] = 1e-9
+    with pytest.raises(RuntimeError, match="couples blocks"):
+        ev.trotter_distance(step, 3, 0.9)
 
 
 def test_distance_metrics():
@@ -129,9 +163,6 @@ def test_distance_metrics():
     b = random_hermitian(10, rng)
     d = diamond_surrogate_distance(a, b, 10)
     assert d == pytest.approx(np.linalg.norm(a - b, 2), rel=1e-4)
-    # callables are expanded column by column
-    d2 = diamond_surrogate_distance(lambda x: a @ x, b, 10)
-    assert d2 == pytest.approx(d, rel=1e-6)
     with pytest.raises(ValueError):
         diamond_surrogate_distance(a, np.eye(4), 10)
     # a pure global phase is invisible to the aligned metric
