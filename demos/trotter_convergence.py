@@ -1,37 +1,28 @@
 """Sweep the step count and compare the measured error to the bound.
 
-Both product-formula orders on the 2x2 lattice with unit couplings.
-The measured phase-aligned distance must sit below the analytic bound
-at every sampled M and fall with the advertised slope.
+Both product-formula orders on the 2x2 lattice with unit couplings,
+through the same scan routine as `zngauge trotter-scan`.  The measured
+distance is the exact ||step^M - exp(-iHT)||_2; it must sit below the
+analytic bound at every sampled M and fall with the advertised slope.
 """
 
 import numpy as np
 
-from zngauge.algebra import Couplings, total_hamiltonian
+from zngauge.algebra import Couplings
+from zngauge.drivers import SCAN_STEPS, trotter_errors
 from zngauge.lattice import LatticeGeometry, build_layout
-from zngauge.oracle import ExactEvolver, phase_aligned_distance, trotter_bound
-from zngauge.schedule import compile_step, schedule_physical_map
 
 
 def main():
     layout = build_layout(LatticeGeometry(2, 2), 3)
-    cpl = Couplings()
-    evolver = ExactEvolver(total_hamiltonian(layout, cpl))
-    target = evolver.propagator(1.0)
-    steps = np.array([4, 8, 16, 32, 64])
-
     for order in (1, 2):
         print(f"order {order}:")
         print("     M     distance        bound      ratio")
-        dists = []
-        for m in steps:
-            sched = compile_step(layout, cpl, 1.0 / m, "choreography", order)
-            u_m = np.linalg.matrix_power(schedule_physical_map(sched), int(m))
-            dist = phase_aligned_distance(u_m, target, layout.physical_dim)
-            bound = trotter_bound(order, 2, 1.0, 1.0, int(m))
-            dists.append(dist)
+        errors = trotter_errors(layout, Couplings(), 1.0, SCAN_STEPS, order, "choreography")
+        for m, (dist, bound, _) in zip(SCAN_STEPS, errors):
             print(f"  {m:4d}     {dist:.3e}    {bound:.3e}    {dist / bound:.4f}")
-        slope = np.polyfit(np.log(steps), np.log(dists), 1)[0]
+        dists = [dist for dist, _, _ in errors]
+        slope = np.polyfit(np.log(SCAN_STEPS), np.log(dists), 1)[0]
         print(f"  fitted slope {slope:+.4f} (target {-order:+d})")
 
 

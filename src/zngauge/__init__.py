@@ -17,12 +17,11 @@ from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
 from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
-from .schedule import (Schedule, TrotterResult, compile_step, dump_schedule,
-                       execute, gauge_away_phases, parse_schedule,
+from .schedule import (Schedule, compile_step, dump_schedule, execute,
+                       gauge_away_phases, parse_schedule,
                        schedule_physical_map, solve_vertex_potential,
-                       spurious_phase_field, total_fermion_number,
-                       trotter_evolve)
-from .oracle import (ExactEvolver, diamond_surrogate_distance, exact_evolve,
+                       spurious_phase_field, total_fermion_number)
+from .oracle import (ExactEvolver, diamond_surrogate_distance,
                      phase_aligned_distance, spectral_norm, steps_required,
                      trotter_bound)
 from .optical import (polarization_vectors, shaping_schedule, v_mat,

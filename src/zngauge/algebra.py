@@ -13,7 +13,7 @@ underlying operators are tensor products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -65,8 +65,6 @@ class LinkAlgebra:
     f_z: np.ndarray | None = None
     f_x: np.ndarray | None = None
     f_y: np.ndarray | None = None
-    # spin-1/2 partner used by the fermion-ancilla collision channel
-    f_half: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(default=None, compare=False)
 
 
 # internal label m -> row of the spin-1 basis ordered (+1, 0, -1)
@@ -106,17 +104,12 @@ def make_link_algebra(N: int) -> LinkAlgebra:
     log_q = dft.conj().T @ log_p @ dft
 
     f_z = f_x = f_y = None
-    f_half = None
     if N == 3:
         f_x, f_y, f_z = _spin1_matrices()
-        sx = np.array([[0, 1], [1, 0]], dtype=np.complex128) / 2
-        sy = np.array([[0, -1j], [1j, 0]], dtype=np.complex128) / 2
-        sz = np.diag([1.0, -1.0]).astype(np.complex128) / 2
-        f_half = (sx, sy, sz)
-    for a in (p, q, dft, log_p, log_q, f_z, f_x, f_y, *(f_half or ())):
+    for a in (p, q, dft, log_p, log_q, f_z, f_x, f_y):
         if a is not None:
             a.setflags(write=False)
-    return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y, f_half)
+    return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y)
 
 
 def hermitian_blocks(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -180,22 +173,16 @@ def expm_from_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
 def fermion_op(layout: RegisterLayout, vertex: Vertex, kind: str) -> dict[int, np.ndarray]:
     """Creation/annihilation operator at a vertex as a factor map.
 
-    The ordering string runs over all fermion registers with smaller
-    row-major mode index, so anticommutation holds across the lattice.
+    The mode order is the register order: the ordering string puts
+    PARITY_Z on every fermion register below the vertex's own, so
+    anticommutation holds across the lattice.
     """
     if kind not in ("create", "annihilate"):
         raise ValueError(f"kind must be create|annihilate, got {kind!r}")
-    mode = layout.fermion_mode(vertex)
-    local = SIGMA_PLUS if kind == "create" else SIGMA_MINUS
-    factors: dict[int, np.ndarray] = {}
-    for i, r in enumerate(layout.registers):
-        if r.kind != "fermion":
-            continue
-        other = layout.fermion_mode(r.site)
-        if other < mode:
-            factors[i] = PARITY_Z
-        elif other == mode:
-            factors[i] = local
+    mode = layout.fermion_index(vertex)
+    factors = {i: PARITY_Z for i, r in enumerate(layout.registers[:mode])
+               if r.kind == "fermion"}
+    factors[mode] = SIGMA_PLUS if kind == "create" else SIGMA_MINUS
     return factors
 
 
@@ -207,17 +194,15 @@ def multiply_factors(a: dict[int, np.ndarray], b: dict[int, np.ndarray]) -> dict
     return out
 
 
-def hopping_factors(layout: RegisterLayout, link: Link, with_link: bool = True) -> dict[int, np.ndarray]:
-    """psi!(x) [Q(x,k)] psi(x+k) as a factor map (origin gets the creation)."""
+def hopping_factors(layout: RegisterLayout, link: Link) -> dict[int, np.ndarray]:
+    """psi!(x) Q(x,k) psi(x+k) as a factor map (origin gets the creation)."""
     geom = layout.geometry
     if not geom.link_exists(link):
         raise KeyError(f"link {link} does not exist")
     x, _ = link
     y = geom.link_head(link)
     f = multiply_factors(fermion_op(layout, x, "create"), fermion_op(layout, y, "annihilate"))
-    if with_link:
-        alg = make_link_algebra(layout.N)
-        f[layout.link_index(link)] = alg.q
+    f[layout.link_index(link)] = make_link_algebra(layout.N).q
     return f
 
 

@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .algebra import Couplings
 from .lattice import LatticeGeometry, RegisterLayout, build_layout
+from .schedule import compile_step
 
 
 @dataclass(frozen=True)
@@ -32,20 +33,9 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.Lx < 1 or self.Ly < 1:
-            raise ValueError(f"lattice extents must be positive, got {self.Lx}x{self.Ly}")
-        if self.N < 2:
-            raise ValueError(f"N must be >= 2, got {self.N}")
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
-        if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
-        if self.mode not in ("choreography", "direct"):
-            raise ValueError(f"mode must be choreography|direct, got {self.mode!r}")
-        if self.mode == "choreography" and self.N != 3:
-            raise ValueError("choreography mode requires N = 3")
-        for name in ("lambda_e", "lambda_b", "lambda_gm", "mass", "T",
-                     "theta", "theta_prime"):
+        for name in ("T", "theta", "theta_prime"):
             v = getattr(self, name)
             if not math.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v}")
@@ -53,11 +43,10 @@ class SimulationConfig:
             raise ValueError(f"T must be nonnegative, got {self.T}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        if self.h_e_variant not in ("group", "z3-implementation"):
-            raise ValueError(f"unknown electric variant {self.h_e_variant!r}")
-        # surfaces policy/geometry mismatches (e.g. shared ancillas with an
-        # odd plaquette that has no even left neighbor) at config time
-        self.build_geometry()
+        # the geometry, couplings and compiler check everything else, so a
+        # config that cannot run fails here rather than inside a driver
+        compile_step(self.build_geometry(), self.couplings(), self.T / self.n_steps,
+                     self.mode, self.order, theta=self.theta, theta_prime=self.theta_prime)
 
     def couplings(self) -> Couplings:
         return Couplings(self.lambda_e, self.lambda_b, self.lambda_gm,

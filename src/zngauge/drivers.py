@@ -28,7 +28,7 @@ from .schedule import (compile_step, dump_schedule, execute, execute_array,
                        gauge_away_phases, schedule_physical_map, solve_vertex_potential,
                        spurious_phase_field, total_fermion_number)
 from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
-                     trotter_bound)
+                     trace_phase, trotter_bound)
 from .optical import polarization_vectors, shaping_schedule, v_mat_minima, wave_vectors
 from .config import SimulationConfig
 
@@ -193,11 +193,6 @@ def _check(name: str, residual: float, threshold: float) -> CheckResult:
                        float(threshold))
 
 
-def _best_phase(a: np.ndarray, b: np.ndarray) -> complex:
-    tr = np.trace(a.conj().T @ b)
-    return tr / abs(tr) if abs(tr) > 0 else 1.0
-
-
 def run_verification_suite(config: SimulationConfig,
                            out_dir: str | None = None) -> tuple[bool, list[CheckResult]]:
     """Invariant battery across all modules; dense parts use 2x2.
@@ -242,13 +237,8 @@ def run_verification_suite(config: SimulationConfig,
     field = spurious_phase_field(lay, config.theta, config.theta_prime)
     lam = solve_vertex_potential(lay, field)
     g = gauge_away_phases(lay, lam)
-    nhat = np.zeros(1)
-    for r in lay.registers:
-        if r.kind == "ancilla":
-            continue
-        loc = np.array([0.0, 1.0]) if r.kind == "fermion" else np.zeros(r.dim)
-        nhat = (nhat[:, None] + loc[None, :]).reshape(-1)
-    central = np.exp(-1j * 2 * (config.theta + config.theta_prime) * nhat)
+    central = gauge_away_phases(
+        lay, {v: 2 * (config.theta + config.theta_prime) for v in geom.vertices})
     gauged = central[:, None] * (g[:, None] * u_dir * np.conj(g)[None, :])
     checks.append(_check("gauging_equivalence",
                          float(np.abs(u_cho - gauged).max()), 1e-10))
@@ -285,7 +275,7 @@ def run_verification_suite(config: SimulationConfig,
             continue
         u_net = n0_pair_phase(beta) @ selective_collision(
             *eta_couplings(g0, g1, g2), alpha)
-        phase = _best_phase(u_want, u_net)
+        phase = trace_phase(u_net, u_want)
         worst_c = max(worst_c, float(np.abs(u_net - phase * u_want).max()))
     checks.append(_check("collision_calibration", worst_c, 1e-11))
 

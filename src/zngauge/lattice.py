@@ -152,13 +152,6 @@ class RegisterLayout:
     def ancilla_indices(self) -> list[int]:
         return [i for i, r in enumerate(self.registers) if r.kind == "ancilla"]
 
-    def fermion_mode(self, vertex: Vertex) -> int:
-        """Position of the vertex in the fermionic (row-major) mode order."""
-        x1, x2 = vertex
-        if not (0 <= x1 < self.geometry.Lx and 0 <= x2 < self.geometry.Ly):
-            raise KeyError(f"vertex {vertex} outside lattice")
-        return x2 * self.geometry.Lx + x1
-
 
 def build_layout(geometry: LatticeGeometry, N: int, ancilla_policy: str = "per_plaquette") -> RegisterLayout:
     """Deterministic register layout for a geometry and Z_N dimension.

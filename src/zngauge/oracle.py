@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .lattice import RegisterLayout, StateVector, lift_physical, project_ancillas
+from .lattice import RegisterLayout
 from .algebra import (Couplings, HERMITICITY_TOL, TERM_NAMES, exp_blocks,
                       hermitian_blocks, term_matrix)
 
@@ -80,20 +80,6 @@ class ExactEvolver:
         return dist
 
 
-def exact_evolve(hamiltonian: np.ndarray, t: float, state):
-    """exp(-iHt) applied to a physical amplitude vector or a StateVector.
-
-    A StateVector is projected onto restored ancillas, evolved on the
-    physical registers, and lifted back.
-    """
-    ev = ExactEvolver(hamiltonian)
-    if isinstance(state, StateVector):
-        phys = project_ancillas(state.amplitudes, state.layout)
-        out = ev.evolve(t, phys)
-        return StateVector(state.layout, lift_physical(out, state.layout))
-    return ev.evolve(t, np.asarray(state, dtype=np.complex128))
-
-
 def _as_matrix(m, dim: int) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape != (dim, dim):
@@ -111,17 +97,21 @@ def diamond_surrogate_distance(map_a, map_b, dim: int) -> float:
     return spectral_norm(_as_matrix(map_a, dim) - _as_matrix(map_b, dim))
 
 
-def phase_aligned_distance(map_a, map_b, dim: int) -> float:
-    """min over alpha of the spectral norm of A - exp(i alpha) B.
+def trace_phase(a: np.ndarray, b: np.ndarray) -> complex:
+    """The phase phi minimizing ||a - phi b||_F: tr(b! a) / |tr(b! a)|, or 1 if that is 0."""
+    tr = np.vdot(b, a)
+    return tr / abs(tr) if abs(tr) > 0 else 1.0
 
-    The phase is fixed at the Frobenius optimum (the trace phase),
-    which cancels any global phase between the maps exactly.
+
+def phase_aligned_distance(map_a, map_b, dim: int) -> float:
+    """Spectral norm of A - phi B at the trace phase phi of `trace_phase`.
+
+    The trace phase cancels any global phase between the maps exactly;
+    in general the value is an upper bound on the minimum over all phases.
     """
     a = _as_matrix(map_a, dim)
     b = _as_matrix(map_b, dim)
-    tr = np.trace(b.conj().T @ a)
-    phase = tr / abs(tr) if abs(tr) > 0 else 1.0
-    return spectral_norm(a - phase * b)
+    return spectral_norm(a - trace_phase(a, b) * b)
 
 
 # ---------------------------------------------------------------------------
@@ -159,49 +149,6 @@ def exact_norm_sum(layout: RegisterLayout, couplings: Couplings) -> float:
     return total
 
 
-def analytic_norm_sum(Lx: int, Ly: int, couplings: Couplings) -> float:
-    """Upper bound on the norm sum from per-piece counting.
-
-    Electric and magnetic single constituents are bounded by 2, each
-    hopping by 2, and the staggered mass by 1 per site.
-    """
-    n_links = Lx * (Ly - 1) + Ly * (Lx - 1)
-    n_plaq = (Lx - 1) * (Ly - 1)
-    n_sites = Lx * Ly
-    return (2.0 * couplings.lambda_e * n_links
-            + couplings.mass * n_sites
-            + 2.0 * couplings.lambda_b * n_plaq
-            + 2.0 * couplings.lambda_gm * n_links)
-
-
 def bound_validity(T: float, M: int, norm_sum: float) -> bool:
     """Whether the bound's small-step premise (T/M) * sum_j ||H_j|| <= 1 holds."""
     return (T / M) * norm_sum <= 1.0
-
-
-def wallclock_model(T: float, M: int, A: float, B: float, C: float,
-                    order: int = 1) -> float:
-    """Laboratory duration of the simulation.
-
-    Order 1 charges a fixed overhead per step: T' = M (A + B T / M).
-    Order 2 uses the closed form after substituting the required step
-    count: T' = B T + 2 C T^(3/2), where C absorbs the per-step
-    overhead times the step-count coefficient (A and M are not read).
-    """
-    if min(A, B, C) < 0 or T < 0:
-        raise ValueError("constants and T must be nonnegative")
-    if order == 1:
-        return M * (A + B * T / M)
-    if order == 2:
-        return B * T + 2.0 * C * T**1.5
-    raise ValueError(f"order must be 1 or 2, got {order}")
-
-
-def error_budget(eps: float, lambda_max: float, L: int, T: float) -> float:
-    """Tolerable per-gate timing error times experiment duration.
-
-    Evaluates eps^(3/2) / (120 lambda_max^(5/2) L^5 T^(3/2)).
-    """
-    if eps <= 0 or lambda_max <= 0 or L < 1 or T <= 0:
-        raise ValueError("eps, lambda_max, T must be positive and L >= 1")
-    return eps**1.5 / (120.0 * lambda_max**2.5 * L**5 * T**1.5)

@@ -25,14 +25,13 @@ from .lattice import (
     StateVector,
     Vertex,
     GateGroup,
-    build_global_singlet,
     gate_group,
     is_even,
     lift_physical,
     project_ancillas,
     run_gates,
 )
-from .algebra import Couplings, gauss_expectations
+from .algebra import Couplings
 from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequence
 
 GRADIENT_TOL = 1e-12
@@ -504,13 +503,6 @@ def schedule_physical_map(schedule: Schedule,
     return project_ancillas(out, layout).reshape(d_phys, d_phys)
 
 
-@dataclass
-class TrotterResult:
-    final_state: StateVector
-    schedule: Schedule
-    observables: list[dict]
-
-
 def total_fermion_number(state: StateVector) -> float:
     """Expectation of the summed fermion occupation."""
     layout = state.layout
@@ -522,31 +514,6 @@ def total_fermion_number(state: StateVector) -> float:
         axes = tuple(j for j in range(len(layout.registers)) if j != i)
         total += float(probs.sum(axis=axes)[1])
     return total
-
-
-def trotter_evolve(layout: RegisterLayout, couplings: Couplings, T: float,
-                   n_steps: int, order: int = 1, mode: str = "choreography", *,
-                   initial_state: StateVector | None = None,
-                   theta: float = 0.0, theta_prime: float = 0.0,
-                   record: bool = True) -> TrotterResult:
-    """Repeat the compiled step n_steps times, recording checks per step."""
-    if n_steps < 1:
-        raise ValueError(f"n_steps must be >= 1, got {n_steps}")
-    sched = compile_step(layout, couplings, T / n_steps, mode, order,
-                         theta=theta, theta_prime=theta_prime)
-    state = initial_state if initial_state is not None else build_global_singlet(layout)
-    rows: list[dict] = []
-    for k in range(n_steps):
-        state = execute(sched, state)
-        if record:
-            gauss = gauss_expectations(state)
-            rows.append({
-                "step": k + 1,
-                "time": (k + 1) * T / n_steps,
-                "gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
-                "fermion_number": total_fermion_number(state),
-            })
-    return TrotterResult(state, sched, rows)
 
 
 # ---------------------------------------------------------------------------

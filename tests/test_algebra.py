@@ -163,8 +163,6 @@ def test_hopping_factor_contents(layout22):
     link = ((0, 0), 1)
     f = hopping_factors(layout22, link)
     assert layout22.link_index(link) in f
-    bare = hopping_factors(layout22, link, with_link=False)
-    assert layout22.link_index(link) not in bare
     with pytest.raises(KeyError):
         hopping_factors(layout22, ((1, 1), 1))
 
@@ -411,6 +409,6 @@ def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
 def test_link_algebra_is_cached_and_read_only():
     alg = make_link_algebra(3)
     assert make_link_algebra(3) is alg
-    for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q, alg.f_z, *alg.f_half):
+    for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q, alg.f_z):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0

@@ -90,6 +90,13 @@ def test_bad_config_exits_2(tmp_path):
     assert missing.returncode == 2
 
 
+def test_unrunnable_geometry_exits_2(tmp_path):
+    cfg = write_config(tmp_path, Lx=1, Ly=3)
+    proc = run_cli("quench", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "ancilla" in proc.stderr
+
+
 def test_negative_seed_exits_2(tmp_path):
     cfg = write_config(tmp_path, n_steps=2)
     proc = run_cli("quench", "--config", cfg, "--seed", "-3")

@@ -75,6 +75,10 @@ def test_value_validation():
     # geometry problems surface at construction, not at run time
     with pytest.raises(ValueError, match="shared ancilla"):
         SimulationConfig(Lx=2, Ly=3, ancilla_policy="shared")
+    # a 1x3 lattice has no plaquette, so no ancilla for the choreography
+    with pytest.raises(ValueError, match="ancilla"):
+        SimulationConfig(Lx=1, Ly=3)
+    SimulationConfig(Lx=1, Ly=3, mode="direct")
 
 
 def test_load_config_errors(tmp_path):

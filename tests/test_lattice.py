@@ -92,9 +92,6 @@ def test_layout_lookup_roundtrip(layout22):
         assert layout22.index_of(reg.kind, reg.site) == i
     assert layout22.fermion_index((1, 1)) == 3
     assert layout22.link_index(((0, 0), 1)) == 4
-    assert layout22.fermion_mode((0, 1)) == 2
-    with pytest.raises(KeyError):
-        layout22.fermion_mode((5, 5))
 
 
 def test_layout_rejects_bad_inputs():

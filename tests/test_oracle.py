@@ -10,17 +10,14 @@ from zngauge.algebra import (TERM_NAMES, Couplings, expm_from_hermitian, term_ma
 from zngauge.lattice import build_global_singlet, project_ancillas
 from zngauge.oracle import (
     ExactEvolver,
-    analytic_norm_sum,
     bound_validity,
     diamond_surrogate_distance,
-    error_budget,
-    exact_evolve,
     exact_norm_sum,
     phase_aligned_distance,
     spectral_norm,
     steps_required,
+    trace_phase,
     trotter_bound,
-    wallclock_model,
 )
 
 
@@ -64,18 +61,6 @@ def test_energy_is_conserved(layout22, cpl1):
     e1 = np.vdot(out, h @ out).real
     assert e1 == pytest.approx(e0, abs=1e-10)
     assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_exact_evolve_statevector_round_trip(layout22, cpl1):
-    h = total_hamiltonian(layout22, cpl1)
-    st = build_global_singlet(layout22)
-    out = exact_evolve(h, 0.8, st)
-    from zngauge.lattice import ancilla_restoration_fidelity
-
-    assert ancilla_restoration_fidelity(out) == pytest.approx(1.0, abs=1e-12)
-    phys = project_ancillas(st.amplitudes, layout22)
-    want = ExactEvolver(h).evolve(0.8, phys)
-    np.testing.assert_allclose(project_ancillas(out.amplitudes, layout22), want, atol=1e-12)
 
 
 def test_evolver_matches_dense_eigh_on_the_2x2_hamiltonian(layout22):
@@ -168,6 +153,8 @@ def test_distance_metrics():
     # a pure global phase is invisible to the aligned metric
     u = taylor_expm(-1j * 0.4 * a)
     assert phase_aligned_distance(u, np.exp(0.9j) * u, 10) < 1e-10
+    assert abs(trace_phase(np.exp(0.9j) * u, u) - np.exp(0.9j)) < 1e-12
+    assert trace_phase(np.zeros((10, 10)), u) == 1.0
     assert diamond_surrogate_distance(u, np.exp(0.9j) * u, 10) > 0.5
 
 
@@ -214,25 +201,5 @@ def test_steps_required_frozen_values():
 def test_norm_sums(layout22, cpl1):
     exact = exact_norm_sum(layout22, cpl1)
     assert exact == pytest.approx(16.0, abs=1e-9)
-    analytic = analytic_norm_sum(2, 2, cpl1)
-    assert analytic == pytest.approx(22.0)
-    assert exact <= analytic
     assert bound_validity(1.0, 32, exact)
     assert not bound_validity(1.0, 10, exact)
-
-
-def test_wallclock_model():
-    assert wallclock_model(1.0, 100, 0.5, 2.0, 0.0, order=1) == pytest.approx(52.0)
-    assert wallclock_model(4.0, 0, 0.0, 2.0, 1.5, order=2) == pytest.approx(8.0 + 3.0 * 8.0)
-    with pytest.raises(ValueError):
-        wallclock_model(1.0, 10, -0.1, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        wallclock_model(1.0, 10, 0.1, 2.0, 1.0, order=3)
-
-
-def test_error_budget_frozen_value():
-    assert error_budget(0.1, 1.0, 2, 1.0) == pytest.approx(8.235098073355155e-06, rel=1e-12)
-    with pytest.raises(ValueError):
-        error_budget(0.0, 1.0, 2, 1.0)
-    with pytest.raises(ValueError):
-        error_budget(0.1, 1.0, 0, 1.0)

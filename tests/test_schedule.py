@@ -38,7 +38,6 @@ from zngauge.schedule import (
     solve_vertex_potential,
     spurious_phase_field,
     total_fermion_number,
-    trotter_evolve,
 )
 from zngauge.stators import GateOp, gate_matrix
 
@@ -247,22 +246,16 @@ def test_non_gradient_field_raises(layout22):
         gauge_away_phases(layout22, {(0, 0): 0.0})
 
 
-def test_trotter_evolve_records_and_matches_powered_map(layout22, cpl1, sched_cho1):
-    res = trotter_evolve(layout22, cpl1, T=0.3, n_steps=3, order=1)
-    assert len(res.observables) == 3
-    row = res.observables[-1]
-    assert row["step"] == 3
-    assert row["time"] == pytest.approx(0.3)
-    assert row["gauss_max_deviation"] < 1e-10
-    assert row["fermion_number"] == pytest.approx(2.0, abs=1e-9)
-    u = schedule_physical_map(res.schedule)
+def test_repeated_execute_matches_powered_map(layout22, cpl1):
+    sched = compile_step(layout22, cpl1, 0.1, "choreography", 1)
     singlet = build_global_singlet(layout22)
+    state = singlet
+    for _ in range(3):
+        state = execute(sched, state)
     phys0 = project_ancillas(singlet.amplitudes, layout22)
-    want = np.linalg.matrix_power(u, 3) @ phys0
-    got = project_ancillas(res.final_state.amplitudes, layout22)
+    want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ phys0
+    got = project_ancillas(state.amplitudes, layout22)
     assert np.abs(got - want).max() < 1e-11
-    with pytest.raises(ValueError):
-        trotter_evolve(layout22, cpl1, 1.0, 0)
 
 
 def test_total_fermion_number_on_singlet(layout22):
