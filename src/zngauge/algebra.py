@@ -8,7 +8,10 @@ Single-link conventions (all N x N):
 Operators on the composite space are handled as "factor maps": a dict
 register-index -> small matrix, implicitly identity elsewhere.  Products
 of factor maps multiply register by register, which is exact because the
-underlying operators are tensor products.
+underlying operators are tensor products.  Every factor the model uses
+is monomial (at most one nonzero per column), so `monomial_map` turns a
+factor map into an index map with one amplitude per basis state; the
+Hamiltonian and the Gauss diagonals are scattered from those arrays.
 """
 
 from __future__ import annotations
@@ -206,14 +209,24 @@ def hopping_factors(layout: RegisterLayout, link: Link) -> dict[int, np.ndarray]
     return f
 
 
-def embed_physical(layout: RegisterLayout, factors: dict[int, np.ndarray]) -> np.ndarray:
-    """Dense matrix of a factor map on the physical (non-ancilla) registers."""
-    out = np.array([[1.0 + 0j]])
-    for i, r in enumerate(layout.registers):
-        if r.kind == "ancilla":
-            continue
-        out = np.kron(out, factors.get(i, np.eye(r.dim)))
-    return out
+def monomial_map(dims, factors: dict[int, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Index map of a monomial factor map on registers of dimensions `dims`.
+
+    Basis index j goes to target[j] with amplitude amplitude[j]; an
+    all-zero column gives amplitude 0.  Factors apply in increasing
+    register index, the kron order.  A factor with two nonzeros in one
+    column raises ValueError.
+    """
+    digits = np.indices(tuple(dims)).reshape(len(dims), -1)
+    amplitude = np.ones(digits.shape[1], dtype=np.complex128)
+    for i in sorted(factors):
+        nonzero = factors[i] != 0
+        if (nonzero.sum(axis=0) > 1).any():
+            raise ValueError(f"factor on register {i} is not monomial")
+        row = nonzero.argmax(axis=0)
+        amplitude *= factors[i][row, np.arange(len(row))][digits[i]]
+        digits[i] = row[digits[i]]
+    return np.ravel_multi_index(tuple(digits), tuple(dims)), amplitude
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +266,10 @@ def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[list[int], 
     """
     factors = gauss_law_operator(layout, vertex)
     support = sorted(factors)
-    diag = np.ones(1, dtype=np.complex128)
-    for i in support:
-        m = factors[i]
-        if np.any(m - np.diag(np.diagonal(m))):
-            raise ValueError(f"Gauss factor on register {i} at vertex {vertex} is not diagonal")
-        diag = np.kron(diag, np.diagonal(m))
+    target, diag = monomial_map([layout.registers[i].dim for i in support],
+                                {k: factors[i] for k, i in enumerate(support)})
+    if np.any(target != np.arange(target.size)):
+        raise ValueError(f"Gauss factor at vertex {vertex} is not diagonal")
     return support, diag
 
 
@@ -285,12 +296,11 @@ def project_gauge_invariant(layout: RegisterLayout, physical: np.ndarray) -> np.
     Per vertex this multiplies by (sum_k d^k) / N on its support, d being
     the diagonal of Theta(x): the projector (sum_k Theta(x)^k) / N.
     """
-    phys_dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
-    out = np.asarray(physical, dtype=np.complex128).reshape(phys_dims)
+    out = np.asarray(physical, dtype=np.complex128).reshape(layout.physical_dims)
     for v in layout.geometry.vertices:
         support, diag = _gauss_diagonal(layout, v)
         proj = sum(diag**k for k in range(layout.N)) / layout.N
-        shape = [d if i in support else 1 for i, d in enumerate(phys_dims)]
+        shape = [d if i in support else 1 for i, d in enumerate(layout.physical_dims)]
         out = out * proj.reshape(shape)
     return out.reshape(-1)
 
@@ -327,23 +337,6 @@ class Couplings:
             raise ValueError(f"unknown electric variant {self.h_e_variant!r}")
 
 
-@dataclass(frozen=True)
-class HamiltonianTerm:
-    name: str
-    coupling: float
-    support: tuple[int, ...]
-    layout: RegisterLayout
-    couplings: "Couplings"
-
-    def matrix(self) -> np.ndarray:
-        """Dense Hermitian matrix on the physical registers (assembled on call)."""
-        dim = self.layout.physical_dim
-        h = np.zeros((dim, dim), dtype=np.complex128)
-        for factors in term_factor_maps(self.layout, self.name, self.couplings.h_e_variant):
-            h += embed_physical(self.layout, factors)
-        return self.coupling * h
-
-
 def electric_single_link(alg: LinkAlgebra, variant: str) -> np.ndarray:
     """One-link electric energy: group form 1 - P - P!, or the
     staggered-label form diag(1 + |m_bar|) used by the three-level design."""
@@ -373,9 +366,10 @@ def term_factor_maps(layout: RegisterLayout, name: str,
                      h_e_variant: str) -> list[dict[int, np.ndarray]]:
     """The factor maps whose sum is the named piece, before its coupling.
 
-    This is the one definition of each of the eight pieces: the matrix,
-    the support and the coupling of a HamiltonianTerm all follow from it.
-    Plaquette and hopping pieces list each map followed by its adjoint.
+    This is the one definition of each of the eight pieces: its matrix
+    (scattered by term_matrix) and its coupling (TERM_COUPLINGS) follow
+    from it.  Plaquette and hopping pieces list each map followed by its
+    adjoint.
     """
     if name not in TERM_NAMES:
         raise ValueError(f"unknown term {name!r}; expected one of {TERM_NAMES}")
@@ -394,27 +388,24 @@ def term_factor_maps(layout: RegisterLayout, name: str,
                           if geom.link_class(l) == cls)
 
 
-def build_hamiltonian_term(layout: RegisterLayout, name: str, couplings: Couplings) -> HamiltonianTerm:
-    """One of the eight independently scheduled Hamiltonian pieces.
-
-    Its support is every register on which some factor map of the piece
-    is not the identity (Z.Z ordering strings below both ends drop out).
-    """
-    maps = term_factor_maps(layout, name, couplings.h_e_variant)
-    support = {i for f in maps for i, m in f.items() if not np.array_equal(m, np.eye(len(m)))}
-    return HamiltonianTerm(name, getattr(couplings, TERM_COUPLINGS[name]),
-                           tuple(sorted(support)), layout, couplings)
+def _scatter(layout: RegisterLayout, names, couplings: Couplings) -> np.ndarray:
+    """Dense physical matrix of the named pieces, each map scattered in once."""
+    cols = np.arange(layout.physical_dim)
+    h = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    for name in names:
+        maps = term_factor_maps(layout, name, couplings.h_e_variant)   # unknown names raise
+        coupling = getattr(couplings, TERM_COUPLINGS[name])
+        for factors in maps:
+            target, amplitude = monomial_map(layout.physical_dims, factors)
+            h[target, cols] += coupling * amplitude
+    return h
 
 
 def term_matrix(layout: RegisterLayout, name: str, couplings: Couplings) -> np.ndarray:
     """Dense physical matrix of a named term, honoring the electric variant."""
-    return build_hamiltonian_term(layout, name, couplings).matrix()
+    return _scatter(layout, [name], couplings)
 
 
 def total_hamiltonian(layout: RegisterLayout, couplings: Couplings) -> np.ndarray:
     """Sum of the eight terms on the physical registers."""
-    dim = layout.physical_dim
-    h = np.zeros((dim, dim), dtype=np.complex128)
-    for name in TERM_NAMES:
-        h += term_matrix(layout, name, couplings)
-    return h
+    return _scatter(layout, TERM_NAMES, couplings)

@@ -18,11 +18,12 @@ exist.  Plaquettes are named by their bottom-left vertex.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-NORM_TOL = 1e-12      # state vectors must stay normalized to this
+NORM_TOL = 1e-9       # state vectors must stay normalized to this
 UNITARITY_TOL = 1e-12  # gates must be unitary to this
 
 Vertex = tuple[int, int]
@@ -130,12 +131,16 @@ class RegisterLayout:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(r.dim for r in self.registers)
+
+    @property
+    def physical_dims(self) -> tuple[int, ...]:
+        """Local dimensions of the non-ancilla registers, which come first."""
+        return tuple(r.dim for r in self.registers if r.kind != "ancilla")
 
     @property
     def physical_dim(self) -> int:
-        """Product of non-ancilla local dimensions."""
-        return int(np.prod([r.dim for r in self.registers if r.kind != "ancilla"]))
+        return math.prod(self.physical_dims)
 
     def index_of(self, kind: str, site) -> int:
         for i, r in enumerate(self.registers):
@@ -222,7 +227,7 @@ class StateVector:
                 f"amplitude length {self.amplitudes.shape} != layout dim {self.layout.total_dim}"
             )
         n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > 1e-9:
+        if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: ||psi|| = {n}")
 
     def copy(self) -> "StateVector":
@@ -418,8 +423,7 @@ def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     trailing batch axis.
     """
     batch_shape = amplitudes.shape[1:] if amplitudes.ndim > 1 else ()
-    phys_dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
-    work = amplitudes.reshape(tuple(phys_dims) + batch_shape)
+    work = amplitudes.reshape(layout.physical_dims + batch_shape)
     for i in layout.ancilla_indices():
         d = layout.registers[i].dim
         uniform = np.ones(d) / np.sqrt(d)

@@ -31,7 +31,7 @@ from .lattice import (
     project_ancillas,
     run_gates,
 )
-from .algebra import Couplings
+from .algebra import Couplings, monomial_map
 from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequence
 
 GRADIENT_TOL = 1e-12
@@ -88,9 +88,6 @@ class Schedule:
 
     def gate_count(self, include_idle: bool = False) -> int:
         return sum(1 for op in self.ops if include_idle or op.name != "idle")
-
-    def stage_labels(self) -> list[int]:
-        return [op.stage for op in self.ops]
 
 
 # ---------------------------------------------------------------------------
@@ -600,16 +597,9 @@ def gauge_away_phases(layout: RegisterLayout, Lambda: dict[Vertex, float]) -> np
     missing = [v for v in geom.vertices if v not in Lambda]
     if missing:
         raise ValueError(f"Lambda missing vertices {missing}")
-    diag = np.ones(1, dtype=np.complex128)
-    for r in layout.registers:
-        if r.kind == "ancilla":
-            continue
-        if r.kind == "fermion":
-            local = np.array([1.0, np.exp(-1j * Lambda[r.site])])
-        else:
-            local = np.ones(r.dim)
-        diag = np.kron(diag, local)
-    return diag
+    factors = {layout.fermion_index(v): np.diag([1.0, np.exp(-1j * Lambda[v])])
+               for v in geom.vertices}
+    return monomial_map(layout.physical_dims, factors)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from zngauge.algebra import Couplings, make_link_algebra
+from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
 from zngauge.lattice import LatticeGeometry, StateVector, apply_gate, build_layout
 
 
@@ -43,6 +43,23 @@ def embed_on(gate, targets, dims):
     big = big.transpose(inv + [n + i for i in inv])
     d = int(np.prod(dims))
     return big.reshape(d, d)
+
+
+def embed_physical(layout, factors):
+    """Dense matrix of a factor map on the physical (non-ancilla) registers."""
+    out = np.array([[1.0 + 0j]])
+    for i, r in enumerate(layout.registers):
+        if r.kind == "ancilla":
+            continue
+        out = np.kron(out, factors.get(i, np.eye(r.dim)))
+    return out
+
+
+def term_support(layout, name, couplings):
+    """Registers where some factor map of the named piece is not exactly the identity."""
+    maps = term_factor_maps(layout, name, couplings.h_e_variant)
+    return tuple(sorted({i for f in maps for i, m in f.items()
+                         if not np.array_equal(m, np.eye(len(m)))}))
 
 
 def taylor_expm(a, terms=90):

@@ -10,11 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import embed_on, taylor_expm
+from conftest import embed_on, embed_physical, taylor_expm
 from zngauge.algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
-    embed_physical,
     expm_from_hermitian,
     gauss_law_operator,
     make_link_algebra,

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import apply_factors, brute_force_term, embed_on, taylor_expm
+from conftest import (apply_factors, brute_force_term, embed_physical, taylor_expm,
+                      term_support)
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
-    build_hamiltonian_term,
     electric_single_link,
-    embed_physical,
     expm_from_hermitian,
     fermion_op,
     gauss_expectations,
@@ -18,10 +17,12 @@ from zngauge.algebra import (
     hermitian_blocks,
     hopping_factors,
     make_link_algebra,
+    monomial_map,
     multiply_factors,
     project_gauge_invariant,
     random_gauge_invariant_physical,
     symmetric_representatives,
+    term_factor_maps,
     term_matrix,
     total_hamiltonian,
 )
@@ -167,13 +168,24 @@ def test_hopping_factor_contents(layout22):
         hopping_factors(layout22, ((1, 1), 1))
 
 
-def test_embed_physical_matches_brute_force(layout22):
-    rng = np.random.default_rng(2)
-    factors = {1: rng.normal(size=(2, 2)) + 0j, 6: rng.normal(size=(3, 3)) + 0j}
-    dense = embed_physical(layout22, factors)
-    phys_dims = [r.dim for r in layout22.registers if r.kind != "ancilla"]
-    oracle = embed_on(factors[1], [1], phys_dims) @ embed_on(factors[6], [6], phys_dims)
-    np.testing.assert_allclose(dense, oracle, atol=1e-13)
+@pytest.mark.parametrize("shape, N", [((1, 3), 3), ((3, 1), 5), ((2, 2), 2), ((2, 2), 3)])
+def test_monomial_map_matches_the_kron_embedding(shape, N):
+    """Every factor map of the model, scattered from its index map, equals its kron embedding."""
+    layout = build_layout(LatticeGeometry(*shape), N)
+    dims = layout.physical_dims
+    maps = [f for name in TERM_NAMES for variant in ("group", "z3-implementation")
+            for f in term_factor_maps(layout, name, variant)]
+    for v in layout.geometry.vertices:
+        maps += [gauss_law_operator(layout, v), fermion_op(layout, v, "create"),
+                 fermion_op(layout, v, "annihilate")]
+    cols = np.arange(layout.physical_dim)
+    for factors in maps:
+        target, amplitude = monomial_map(dims, factors)
+        scattered = np.zeros((cols.size, cols.size), dtype=np.complex128)
+        scattered[target, cols] = amplitude
+        assert np.array_equal(scattered, embed_physical(layout, factors)), factors
+    with pytest.raises(ValueError, match="not monomial"):
+        monomial_map(dims, {0: np.ones((2, 2))})
 
 
 def test_gauss_operator_order_three(layout22):
@@ -244,17 +256,17 @@ def test_electric_variants(alg3):
 
 def test_term_hermiticity_and_support(layout22, cpl1):
     for name in TERM_NAMES:
-        term = build_hamiltonian_term(layout22, name, cpl1)
-        m = term.matrix()
+        m = term_matrix(layout22, name, cpl1)
+        support = term_support(layout22, name, cpl1)
         assert np.abs(m - m.conj().T).max() < 1e-12, name
         if name == "Bo":
             # the single 2x2 plaquette is even, so the odd sector is empty
-            assert term.support == ()
+            assert support == ()
             assert np.abs(m).max() == 0.0
         else:
-            assert term.support
+            assert support
     with pytest.raises(ValueError):
-        build_hamiltonian_term(layout22, "X", cpl1)
+        term_matrix(layout22, "X", cpl1)
 
 
 @pytest.mark.parametrize("shape, N", [((1, 3), 3), ((2, 2), 2)])
@@ -289,12 +301,12 @@ def test_term_support_is_where_the_matrix_acts(shape):
     dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
     cpl = Couplings(lambda_e=0.7, lambda_b=1.3, lambda_gm=0.9, mass=1.1)
     for name in TERM_NAMES:
-        term = build_hamiltonian_term(layout, name, cpl)
-        h = term.matrix()
+        h = term_matrix(layout, name, cpl)
+        support = term_support(layout, name, cpl)
         for reg, d in enumerate(dims):
             op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             comm = _commutator_with_local(h, op, reg, dims)
-            if reg in term.support:
+            if reg in support:
                 assert comm > 1e-3, (name, reg)
             else:
                 assert comm < 1e-12, (name, reg)

@@ -87,6 +87,18 @@ def test_layout_is_deterministic():
     assert a.dims.tolist() == b.dims.tolist()
 
 
+@pytest.mark.parametrize("L", [4, 8])
+def test_layout_dimensions_are_exact_beyond_int64(L):
+    layout = build_layout(LatticeGeometry(L, L), 3)
+    total = physical = 1
+    for r in layout.registers:
+        total *= r.dim
+        if r.kind != "ancilla":
+            physical *= r.dim
+    assert layout.total_dim == total
+    assert layout.physical_dim == physical
+
+
 def test_layout_lookup_roundtrip(layout22):
     for i, reg in enumerate(layout22.registers):
         assert layout22.index_of(reg.kind, reg.site) == i

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import embed_physical
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
-    embed_physical,
     expm_from_hermitian,
     gauss_law_operator,
     random_gauge_invariant_physical,

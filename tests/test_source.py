@@ -1,11 +1,15 @@
 """Rules the package source keeps."""
 
+import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 import zngauge
 
 SRC = Path(zngauge.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+WORD = re.compile(r"\w+")
 
 
 def test_no_assert_guards_a_runtime_invariant():
@@ -14,3 +18,28 @@ def test_no_assert_guards_a_runtime_invariant():
              for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if re.match(r"\s*assert ", line)]
     assert not found, found
+
+
+def test_every_definition_is_used():
+    """Each top-level function, class and method of the package is named outside its own def line."""
+    uses: Counter = Counter()
+    for folder in ("src", "tests", "demos", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            uses.update(WORD.findall(path.read_text(encoding="utf-8")))
+    dead = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines = text.splitlines()
+        tree = ast.parse(text)
+        nodes = list(tree.body)
+        nodes += [n for c in tree.body if isinstance(c, ast.ClassDef) for n in c.body]
+        for node in nodes:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = WORD.findall(lines[node.lineno - 1]).count(name)
+            if uses[name] <= own:
+                dead.append(f"{path.name}:{node.lineno} {name}")
+    assert not dead, dead
