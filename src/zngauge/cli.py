@@ -57,7 +57,14 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    try:
+        return _run(args, config)
+    except MemoryError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
+
+def _run(args: argparse.Namespace, config: SimulationConfig) -> int:
     if args.command == "verify":
         all_pass, checks = run_verification_suite(config, args.out)
         for c in checks:

@@ -114,6 +114,11 @@ def measure_configuration(state: StateVector, seed: int, shots: int) -> dict:
     }
 
 
+def quench_footprint_bytes(layout: RegisterLayout) -> int:
+    """Bytes a quench holds: the state and the executor's two buffers."""
+    return 3 * 16 * layout.total_dim
+
+
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
                shots: int = 0) -> list[dict]:
     """Sudden-interaction evolution from the global singlet.
@@ -124,6 +129,12 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     against the exact propagator.
     """
     layout = config.build_geometry()
+    need = quench_footprint_bytes(layout)
+    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if need > have:
+        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB "
+                          f"(state and two executor buffers of {layout.total_dim} "
+                          f"amplitudes), over the {have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,

@@ -291,32 +291,73 @@ def _apply_gate_array(amplitudes: np.ndarray, layout: RegisterLayout,
 
 @dataclass(frozen=True)
 class GateGroup:
-    """A checked unitary on `targets`: its diagonal (1-D) when the matrix is
-    diagonal, else the dense matrix, in the mixed-radix basis of `targets`."""
+    """A checked unitary, block-diagonal on its `controls`.
 
-    targets: tuple[int, ...]
-    matrix: np.ndarray
+    `blocks` has shape (C, A, A): one block on the `active` registers per
+    control value, C and A being the products of the control and active
+    dims, both indexed in the mixed-radix order of their registers.  A
+    diagonal gate has A = 1, a gate with no control C = 1.
+    """
+
+    controls: tuple[int, ...]
+    active: tuple[int, ...]
+    blocks: np.ndarray
+
+    @property
+    def targets(self) -> tuple[int, ...]:
+        return self.controls + self.active
 
 
-def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
-    """Check targets, shape and unitarity of a gate and classify it."""
+def check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
+    """Targets as a tuple of ints; raises on a repeated or out-of-range one."""
     targets = tuple(int(t) for t in targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"repeated targets: {list(targets)}")
     for t in targets:
         if not (0 <= t < len(dims)):
             raise ValueError(f"target {t} out of range (have {len(dims)} registers)")
-    gate = np.asarray(gate_matrix, dtype=np.complex128)
-    d_gate = int(np.prod([dims[t] for t in targets]))
-    if gate.shape != (d_gate, d_gate):
-        raise ValueError(f"gate shape {gate.shape} != target dim {d_gate}")
-    err = np.abs(gate.conj().T @ gate - np.eye(d_gate)).max()
+    return targets
+
+
+def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> GateGroup:
+    """Check targets, shape and per-block unitarity of a stack of blocks."""
+    targets = check_targets(dims, tuple(controls) + tuple(active))
+    controls, active = targets[:len(controls)], targets[len(controls):]
+    c_dim = math.prod(dims[t] for t in controls)
+    a_dim = math.prod(dims[t] for t in active)
+    blocks = np.asarray(blocks, dtype=np.complex128)
+    if blocks.shape != (c_dim, a_dim, a_dim):
+        raise ValueError(f"block stack shape {blocks.shape} != {(c_dim, a_dim, a_dim)}")
+    err = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(a_dim)).max()
     if err > UNITARITY_TOL:
         raise ValueError(f"gate not unitary: max |U!U - 1| = {err:.3e}")
-    diag = np.diagonal(gate)
-    if not np.any(gate - np.diag(diag)):
-        gate = diag.copy()
-    return GateGroup(targets, gate)
+    return GateGroup(controls, active, blocks)
+
+
+def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
+    """Check a gate and store it as blocks over the targets it only reads.
+
+    A target is a control when every entry that changes its digit is
+    exactly zero; no threshold is applied.
+    """
+    targets = check_targets(dims, targets)
+    gate = np.asarray(gate_matrix, dtype=np.complex128)
+    tdims = [dims[t] for t in targets]
+    d_gate = math.prod(tdims)
+    if gate.shape != (d_gate, d_gate):
+        raise ValueError(f"gate shape {gate.shape} != target dim {d_gate}")
+    k = len(targets)
+    tensor = gate.reshape(tdims + tdims)
+    ctrl = [i for i in range(k)
+            if not np.moveaxis(tensor, (i, k + i), (0, 1))[~np.eye(tdims[i], dtype=bool)].any()]
+    act = [i for i in range(k) if i not in ctrl]
+    c_dim = math.prod(tdims[i] for i in ctrl)
+    a_dim = d_gate // c_dim
+    order = ctrl + act
+    joint = tensor.transpose(order + [k + i for i in order]).reshape(c_dim, a_dim, c_dim, a_dim)
+    c = np.arange(c_dim)
+    return block_group(dims, [targets[i] for i in ctrl], [targets[i] for i in act],
+                       joint[c, :, c, :])
 
 
 def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarray:
@@ -326,10 +367,10 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
     buffers the size of the input, and the array's stored axis order is
     tracked instead of restored after every group:
 
-    - a diagonal group multiplies in place, broadcast over the stored axes;
-    - a dense group copies the array with its targets leading into the spare
-      buffer (skipped when they already lead), then one matmul writes the
-      other buffer;
+    - a group with A = 1 multiplies in place, broadcast over the stored axes;
+    - any other group copies the array with its controls, then its active
+      registers, leading into the spare buffer (skipped when they already
+      lead), then one stacked matmul of its blocks writes the other buffer;
     - one final transpose copy restores register order, when needed.
     """
     shape = tuple(int(d) for d in dims)
@@ -351,24 +392,26 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
         stored = [shape[a] for a in order]
         view = cur.reshape(stored)
         home = 0 if held is None else held
-        pos = sorted(order.index(t) for t in g.targets)
-        lead = [order[p] for p in pos]        # targets in their stored order
-        k = len(lead)
+        c_pos = sorted(order.index(t) for t in g.controls)
+        pos = c_pos + sorted(order.index(t) for t in g.active)
+        lead = [order[p] for p in pos]        # controls, then active, in stored order
+        k, n_c = len(lead), len(c_pos)
         tdims = [shape[t] for t in g.targets]
         axes = [g.targets.index(t) for t in lead]
-        if g.matrix.ndim == 1:
+        n_blk, a_dim = g.blocks.shape[:2]
+        if a_dim == 1:
             bshape = [1] * len(order)
-            for p in pos:
+            for p in c_pos:
                 bshape[p] = stored[p]
-            diag = g.matrix.reshape(tdims).transpose(axes).reshape(bshape)
+            diag = g.blocks.reshape(tdims).transpose(axes).reshape(bshape)
             cur = np.multiply(view, diag, out=buffer(home).reshape(stored))
             held = home
             continue
-        gate = g.matrix
-        d = gate.shape[0]
+        blocks = g.blocks
         if axes != list(range(k)):
-            gate = gate.reshape(tdims + tdims).transpose(axes + [k + a for a in axes])
-            gate = gate.reshape(d, d)
+            blocks = blocks.reshape(tdims + tdims[n_c:])
+            blocks = blocks.transpose(axes + [k + a - n_c for a in axes[n_c:]])
+            blocks = blocks.reshape(n_blk, a_dim, a_dim)
         if pos == list(range(k)):
             held = 1 - home
         else:
@@ -377,7 +420,8 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
             moved = buffer(1 - home).reshape([shape[a] for a in order])
             np.copyto(moved, view.transpose(pos + rest))
             view, held = moved, home
-        cur = np.matmul(gate, view.reshape(d, -1), out=buffer(held).reshape(d, -1))
+        cur = np.matmul(blocks, view.reshape(n_blk, a_dim, -1),
+                        out=buffer(held).reshape(n_blk, a_dim, -1))
     if order != sorted(order):
         out = buffer(1 - held).reshape(shape)
         np.copyto(out, cur.reshape([shape[a] for a in order]).transpose(np.argsort(order)))

@@ -14,6 +14,7 @@ explicit idle markers so every label from 1 to 35 appears.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -25,6 +26,8 @@ from .lattice import (
     StateVector,
     Vertex,
     GateGroup,
+    block_group,
+    check_targets,
     gate_group,
     is_even,
     lift_physical,
@@ -36,7 +39,7 @@ from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequ
 
 GRADIENT_TOL = 1e-12
 
-# largest joint dimension of the targets of one fused gate group
+# one fused gate group stores at most _FUSE_MAX_DIM**2 block entries
 _FUSE_MAX_DIM = 72
 
 # stage windows of the four link-class blocks in choreography mode
@@ -433,33 +436,53 @@ def _cached_gate(name: str, params: tuple[float, ...], dims: tuple[int, ...]) ->
 def _fuse(dims: tuple[int, ...], ops) -> tuple[GateGroup, ...]:
     """Greedy fusion of consecutive non-idle ops into checked gate groups.
 
-    A group grows while the joint dimension of its targets stays within
-    _FUSE_MAX_DIM; its matrix is the ordered product of its members,
-    built by pushing each member through the gate kernel.
+    A register is a control of a group when every member that targets it
+    leaves it a control, so the product keeps their exact zeros.  A group
+    grows while its stored block entries C*A**2 stay within
+    _FUSE_MAX_DIM**2; its blocks come from pushing the members through
+    the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
     """
     groups: list[GateGroup] = []
-    targets: list[int] = []
-    matrix = None
+    members: list[GateGroup] = []
     for op in ops:
         if op.name == "idle":
             continue
-        for t in op.targets:
-            if not (0 <= t < len(dims)):
-                raise ValueError(f"target {t} out of range (have {len(dims)} registers)")
-        gate = _cached_gate(op.name, op.params, tuple(dims[t] for t in op.targets))
-        union = targets + [t for t in op.targets if t not in targets]
-        if matrix is not None and np.prod([dims[t] for t in union]) > _FUSE_MAX_DIM:
-            groups.append(gate_group(dims, matrix, targets))
-            targets, matrix, union = [], None, list(op.targets)
-        udims = tuple(dims[t] for t in union)
-        d_new = int(np.prod(udims[len(targets):]))
-        base = np.eye(d_new) if matrix is None else np.kron(matrix, np.eye(d_new))
-        member = gate_group(udims, gate, [union.index(t) for t in op.targets])
-        matrix = run_gates((member,), udims, base)
-        targets = union
-    if matrix is not None:
-        groups.append(gate_group(dims, matrix, targets))
+        targets = check_targets(dims, op.targets)
+        gate = _cached_gate(op.name, op.params, tuple(dims[t] for t in targets))
+        member = gate_group(dims, gate, targets)
+        controls, active = _split(members + [member])
+        c_dim = math.prod(dims[t] for t in controls)
+        a_dim = math.prod(dims[t] for t in active)
+        if members and c_dim * a_dim ** 2 > _FUSE_MAX_DIM ** 2:
+            groups.append(_stack(dims, members))
+            members = []
+        members.append(member)
+    if members:
+        groups.append(_stack(dims, members))
     return tuple(groups)
+
+
+def _split(members: list[GateGroup]) -> tuple[list[int], list[int]]:
+    """Controls and active registers of the product of `members`, each in
+    order of first appearance."""
+    union = list(dict.fromkeys(t for m in members for t in m.targets))
+    active = {t for m in members for t in m.active}
+    return [t for t in union if t not in active], [t for t in union if t in active]
+
+
+def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
+    """The checked group of the product of `members`, built without its
+    joint matrix."""
+    controls, active = _split(members)
+    local = {t: i for i, t in enumerate(controls + active)}
+    udims = tuple(dims[t] for t in controls + active)
+    c_dim = math.prod(udims[:len(controls)])
+    a_dim = math.prod(udims[len(controls):])
+    columns = np.tile(np.eye(a_dim), (c_dim, 1))
+    moved = [GateGroup(tuple(local[t] for t in m.controls), tuple(local[t] for t in m.active),
+                       m.blocks) for m in members]
+    blocks = run_gates(moved, udims, columns).reshape(c_dim, a_dim, a_dim)
+    return block_group(dims, controls, active, blocks)
 
 
 def execute(schedule: Schedule, state: StateVector) -> StateVector:

@@ -18,7 +18,6 @@ from zngauge.algebra import (
     hopping_factors,
     make_link_algebra,
     monomial_map,
-    multiply_factors,
     project_gauge_invariant,
     random_gauge_invariant_physical,
     symmetric_representatives,

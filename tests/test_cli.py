@@ -1,6 +1,7 @@
 """Command line interface, exercised through real subprocesses."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -95,6 +96,15 @@ def test_unrunnable_geometry_exits_2(tmp_path):
     proc = run_cli("quench", "--config", cfg)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "ancilla" in proc.stderr
+
+
+def test_oversized_quench_exits_2(tmp_path):
+    """A 3x3 quench needs about 985 GiB; the preflight refuses it before allocating."""
+    if 3 * 16 * 22_039_921_152 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip("this host could hold a 3x3 quench")
+    proc = run_cli("quench", "--config", write_config(tmp_path, Lx=3, Ly=3))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "physical memory" in proc.stderr
 
 
 def test_negative_seed_exits_2(tmp_path):

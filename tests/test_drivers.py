@@ -12,6 +12,7 @@ from zngauge.drivers import (
     CheckResult,
     flux_sector_probabilities,
     measure_configuration,
+    quench_footprint_bytes,
     run_compile,
     run_optical_scan,
     run_quench,
@@ -210,3 +211,14 @@ def test_run_compile_dump(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["gate_count"] == 89
     assert manifest["gate_count_with_idles"] == 98
+
+
+def test_quench_footprint_is_the_state_and_two_buffers(layout22):
+    assert quench_footprint_bytes(layout22) == 3 * 16 * 3888
+    big = SimulationConfig(Lx=3, Ly=3)
+    need = quench_footprint_bytes(big.build_geometry())
+    assert need == 3 * 16 * 22_039_921_152
+    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip("this host could hold a 3x3 quench")
+    with pytest.raises(MemoryError, match="physical memory"):
+        run_quench(big)

@@ -19,9 +19,11 @@ from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
     _apply_gate_array,
+    block_group,
     build_global_singlet,
     build_layout,
     fidelity_up_to_phase,
+    gate_group,
     lift_physical,
     project_ancillas,
 )
@@ -39,7 +41,7 @@ from zngauge.schedule import (
     spurious_phase_field,
     total_fermion_number,
 )
-from zngauge.stators import GateOp, gate_matrix
+from zngauge.stators import COLLISION_ANGLE, GateOp, gate_matrix
 
 TAU = 0.1
 
@@ -375,8 +377,98 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
         execute_array(sched, amp)
 
 
+@pytest.mark.parametrize("targets, message", [("99", "out of range"), ("4,4", "repeated")])
+def test_fused_executor_rejects_bad_targets(layout22, targets, message):
+    sched = parse_schedule(f"1\tdft_link\t{targets}\t\n", layout22, "direct", 1, TAU)
+    with pytest.raises(ValueError, match=message):
+        execute_array(sched, build_global_singlet(layout22).amplitudes)
+
+
 def test_substep_ranges_reject_a_split_window():
     ops = [GateOp("flip_anc", (8,), (), s) for s in (1, 2, 1)]
     assert _substep_ranges(ops[:2], (("a", 1, 1), ("b", 2, 2))) == (("a", 0, 1), ("b", 1, 2))
     with pytest.raises(ValueError, match="not contiguous"):
         _substep_ranges(ops, (("a", 1, 1),))
+
+
+def dense_of(group):
+    """The group's matrix in the mixed-radix basis of group.targets."""
+    c_dim, a_dim = group.blocks.shape[:2]
+    full = np.zeros((c_dim, a_dim, c_dim, a_dim), dtype=np.complex128)
+    c = np.arange(c_dim)
+    full[c, :, c, :] = group.blocks
+    return full.reshape(c_dim * a_dim, c_dim * a_dim)
+
+
+def in_order(matrix, dims, targets, order):
+    """Reindex a gate on `targets` into the basis of `order`, a permutation of them."""
+    tdims = [dims[t] for t in targets]
+    perm = [list(targets).index(t) for t in order]
+    k = len(perm)
+    return matrix.reshape(tdims + tdims).transpose(perm + [k + p for p in perm]).reshape(matrix.shape)
+
+
+def test_gate_group_stores_blocks_over_exact_controls(layout22):
+    dims = tuple(int(d) for d in layout22.dims)
+    f, link, anc = layout22.fermion_index((0, 0)), layout22.link_index(((0, 0), 1)), 8
+    uw = gate_group(dims, gate_matrix("uw", (), (3, 2)), (link, f))
+    assert (uw.controls, uw.active, uw.blocks.shape) == ((f,), (link,), (2, 3, 3))
+    zz = gate_group(dims, gate_matrix("collision_zz", (COLLISION_ANGLE,), (3, 3)), (link, anc))
+    assert (zz.controls, zz.active, zz.blocks.shape) == ((link, anc), (), (9, 1, 1))
+    dft = gate_group(dims, gate_matrix("dft_link", (), (3,)), (link,))
+    assert (dft.controls, dft.active, dft.blocks.shape) == ((), (link,), (1, 3, 3))
+
+
+def test_blocks_rebuild_every_gate_and_group(sched_cho1, sched_dir1):
+    dims = tuple(int(d) for d in sched_cho1.layout.dims)
+    for sched in (sched_cho1, sched_dir1):
+        for op in sched.ops:
+            if op.name == "idle":
+                continue
+            gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
+            g = gate_group(dims, gate, op.targets)
+            assert np.array_equal(dense_of(g), in_order(gate, dims, op.targets, g.targets))
+        for g in schedule_module._fuse(dims, sched.ops):
+            again = gate_group(dims, dense_of(g), g.targets)
+            assert set(g.controls) <= set(again.controls)
+            assert np.array_equal(dense_of(again), in_order(dense_of(g), dims, g.targets,
+                                                            again.targets))
+
+
+def test_a_tiny_entry_is_not_an_exact_zero(layout22):
+    dims = tuple(int(d) for d in layout22.dims)
+    f, link = 0, layout22.link_index(((0, 0), 1))
+    gate = gate_matrix("uw", (), (3, 2)).copy()
+    gate[0, 1] = 1e-300           # couples fermion digits 0 and 1 of link digit 0
+    g = gate_group(dims, gate, (link, f))
+    assert g.controls == () and g.blocks.shape == (1, 6, 6)
+    assert np.array_equal(dense_of(g), gate)
+    phase = np.diag([1.0, 1j])
+    phase[1, 0] = 1e-300
+    assert gate_group(dims, phase, (f,)).blocks.shape == (1, 2, 2)
+
+
+def test_a_non_unitary_block_raises(layout22):
+    dims = tuple(int(d) for d in layout22.dims)
+    f, link = 0, layout22.link_index(((0, 0), 1))
+    blocks = gate_group(dims, gate_matrix("uw", (), (3, 2)), (link, f)).blocks.copy()
+    blocks[1] *= 1.5
+    with pytest.raises(ValueError, match="unitary"):
+        block_group(dims, (f,), (link,), blocks)
+    gate = np.kron(np.diag([1.0, 1.5]), np.eye(3))
+    with pytest.raises(ValueError, match="unitary"):
+        gate_group(dims, gate, (f, link))
+    with pytest.raises(ValueError, match="shape"):
+        block_group(dims, (f,), (link,), blocks[:, :2, :2])
+
+
+@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 240), ((3, 2), 20, 460)])
+def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
+    """Controls cut the multiply-adds per amplitude (sum of A over groups with
+    A > 1) from 450 to 225 on 2x2 and from 1032 to 453 on 3x2."""
+    lay = build_layout(LatticeGeometry(*geo), 3)
+    dims = tuple(int(d) for d in lay.dims)
+    plan = schedule_module._fuse(dims, compile_step(lay, cpl1, TAU, "choreography", 1).ops)
+    active = sum(g.blocks.shape[1] for g in plan if g.blocks.shape[1] > 1)
+    assert len(plan) <= max_groups and active <= max_active
+    assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2

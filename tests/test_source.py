@@ -43,3 +43,18 @@ def test_every_definition_is_used():
             if uses[name] <= own:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, dead
+
+
+def test_every_test_import_is_used():
+    """Each name a test module imports is read somewhere else in that module."""
+    unused = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read:
+                        unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, unused

@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import taylor_expm
-from zngauge.algebra import make_link_algebra
-from zngauge.lattice import (
-    LatticeGeometry,
-    ancilla_restoration_fidelity,
-    apply_gate,
-    build_global_singlet,
-    build_layout,
-)
+from zngauge.lattice import ancilla_restoration_fidelity, apply_gate, build_global_singlet
 from zngauge.stators import (
     COLLISION_ANGLE,
     GATE_VOCABULARY,
