@@ -53,6 +53,8 @@ def _load(args: argparse.Namespace) -> SimulationConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.shots < 0:
+            raise ValueError(f"--shots must be >= 0, got {args.shots}")
         config = _load(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 from dataclasses import dataclass
 from importlib import metadata
 
@@ -57,8 +58,12 @@ def write_csv(path: str, header: list[str], rows: list[list]):
 
 
 def write_manifest(out_dir: str, config: SimulationConfig, extra: dict | None = None):
+    """manifest.json: config, versions, CPU count and the peak RSS so far."""
     doc = {"config": config.as_dict(), "version": _package_version(),
-           "seed": config.seed}
+           "seed": config.seed, "numpy_version": np.__version__,
+           "cpu_count": os.cpu_count(),
+           # ru_maxrss is in KiB on Linux
+           "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
     if extra:
         doc.update(extra)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8") as f:

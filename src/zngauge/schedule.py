@@ -493,6 +493,17 @@ def execute(schedule: Schedule, state: StateVector) -> StateVector:
     return StateVector(state.layout, amp)
 
 
+def _plan(schedule: Schedule, op_range: tuple[int, int] | None) -> tuple[GateGroup, ...]:
+    """The schedule's fused gate plan for an op range, built on first use and kept."""
+    lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
+    key = slice(lo, hi).indices(len(schedule.ops))[:2]
+    plan = schedule._plans.get(key)
+    if plan is None:
+        dims = tuple(int(d) for d in schedule.layout.dims)
+        plan = schedule._plans[key] = _fuse(dims, schedule.ops[lo:hi])
+    return plan
+
+
 def execute_array(schedule: Schedule, amplitudes: np.ndarray,
                   op_range: tuple[int, int] | None = None) -> np.ndarray:
     """Raw-array executor; trailing axes beyond the register dims are batch.
@@ -501,26 +512,46 @@ def execute_array(schedule: Schedule, amplitudes: np.ndarray,
     first call and kept on the schedule.
     """
     dims = tuple(int(d) for d in schedule.layout.dims)
-    lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
-    key = slice(lo, hi).indices(len(schedule.ops))[:2]
-    plan = schedule._plans.get(key)
-    if plan is None:
-        plan = schedule._plans[key] = _fuse(dims, schedule.ops[lo:hi])
-    return run_gates(plan, dims, amplitudes)
+    return run_gates(_plan(schedule, op_range), dims, amplitudes)
+
+
+def _fermion_count(layout: RegisterLayout, registers) -> np.ndarray:
+    """Occupied fermions among `registers`, per mixed-radix index of their digits."""
+    digits = np.indices(tuple(layout.registers[t].dim for t in registers))
+    fermions = [i for i, t in enumerate(registers) if layout.registers[t].kind == "fermion"]
+    return digits[fermions].sum(axis=0).ravel()
 
 
 def schedule_physical_map(schedule: Schedule,
                           op_range: tuple[int, int] | None = None) -> np.ndarray:
     """Dense physical-space matrix of (a slice of) the schedule.
 
-    Ancillas enter in |in> and are projected back onto |in> at the end,
+    Ancillas enter in |in~> and are projected back onto |in~> at the end,
     which is exact whenever the slice restores them (every substep does).
+
+    The fused plan is checked first: every block entry whose active
+    digits change the fermion count must be an exact zero, else
+    ValueError.  The map then has exact zeros between fermion-number
+    sectors, so one batch column (slot k) carries the k-th basis state
+    of every sector at once, and each column of the map is read from
+    its slot on its own sector's rows: 486 columns instead of 1296 on 2x2.
     """
     layout = schedule.layout
-    d_phys = layout.physical_dim
-    basis = lift_physical(np.eye(d_phys, dtype=np.complex128), layout)
-    out = execute_array(schedule, basis, op_range)
-    return project_ancillas(out, layout).reshape(d_phys, d_phys)
+    for g in _plan(schedule, op_range):
+        if g.blocks.shape[1] > 1:
+            n = _fermion_count(layout, g.active)
+            if g.blocks[:, n[:, None] != n[None, :]].any():
+                raise ValueError(f"gate group on registers {g.targets} "
+                                 "changes the fermion number")
+    number = _fermion_count(layout, range(len(layout.physical_dims)))
+    same = number[:, None] == number[None, :]
+    slot = np.tril(same, -1).sum(axis=1)      # earlier states of the same sector
+    packed = np.zeros((number.size, slot.max() + 1), dtype=np.complex128)
+    packed[np.arange(number.size), slot] = 1
+    out = execute_array(schedule, lift_physical(packed, layout), op_range)
+    full = project_ancillas(out, layout)[:, slot]
+    full[~same] = 0
+    return full
 
 
 def total_fermion_number(state: StateVector) -> float:

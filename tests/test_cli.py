@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 CLI = [sys.executable, "-m", "zngauge"]
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def run_cli(*args, **kwargs):
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
     return subprocess.run(CLI + list(args), capture_output=True, text=True,
-                          timeout=600, **kwargs)
+                          env=dict(os.environ, PYTHONPATH=path), timeout=600, **kwargs)
 
 
 def write_config(tmp_path, **overrides):
@@ -112,6 +115,13 @@ def test_negative_seed_exits_2(tmp_path):
     proc = run_cli("quench", "--config", cfg, "--seed", "-3")
     assert proc.returncode == 2
     assert "seed" in proc.stderr
+
+
+def test_negative_shots_exits_2(tmp_path):
+    cfg = write_config(tmp_path, n_steps=2)
+    proc = run_cli("quench", "--config", cfg, "--shots", "-4")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "shots" in proc.stderr
 
 
 def test_unknown_subcommand_fails():

@@ -213,6 +213,13 @@ def test_run_compile_dump(tmp_path):
     assert manifest["gate_count_with_idles"] == 98
 
 
+def test_manifest_records_the_environment(tmp_path):
+    run_compile(SimulationConfig(), str(tmp_path))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    for key in ("peak_rss_mb", "numpy_version", "cpu_count"):
+        assert key in manifest, key
+
+
 def test_quench_footprint_is_the_state_and_two_buffers(layout22):
     assert quench_footprint_bytes(layout22) == 3 * 16 * 3888
     big = SimulationConfig(Lx=3, Ly=3)

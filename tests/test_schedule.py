@@ -472,3 +472,68 @@ def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
     active = sum(g.blocks.shape[1] for g in plan if g.blocks.shape[1] > 1)
     assert len(plan) <= max_groups and active <= max_active
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
+
+
+def column_map(sched, op_range=None):
+    """The physical map pushed through the executor one basis column at a time."""
+    lay = sched.layout
+    eye = lift_physical(np.eye(lay.physical_dim, dtype=np.complex128), lay)
+    return project_ancillas(execute_array(sched, eye, op_range), lay)
+
+
+def cross_sector(lay):
+    """Entries of a physical map that join two different fermion numbers."""
+    kinds = [r.kind for r in lay.registers if r.kind != "ancilla"]
+    digits = np.indices(lay.physical_dims).reshape(len(kinds), -1)
+    number = digits[[k == "fermion" for k in kinds]].sum(axis=0)
+    return number[:, None] != number[None, :]
+
+
+def check_packed_map(sched, op_range=None):
+    got = schedule_physical_map(sched, op_range)
+    want = column_map(sched, op_range)
+    assert np.abs(got - want).max() <= 1e-14
+    cross = cross_sector(sched.layout)
+    assert not got[cross].any() and not want[cross].any()
+
+
+@pytest.mark.parametrize("mode", ["choreography", "direct"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order):
+    """2x2 has fermion-number sectors of 81, 324, 486, 324 and 81 states,
+    so the map runs one 486-column batch instead of 1296 columns."""
+    sched = compile_step(layout22, cpl1, 0.4, mode, order, theta=0.3, theta_prime=0.7)
+    shapes = []
+
+    def spy(schedule, amplitudes, op_range=None):
+        shapes.append(amplitudes.shape)
+        return execute_array(schedule, amplitudes, op_range)
+
+    monkeypatch.setattr(schedule_module, "execute_array", spy)
+    check_packed_map(sched)
+    assert shapes == [(layout22.total_dim, 486)]
+    if order == 1:
+        _, lo, hi = sched.substeps[1]
+        check_packed_map(sched, (lo, hi))
+
+
+@pytest.mark.parametrize("geo", [(1, 3), (3, 1)])
+@pytest.mark.parametrize("n", [2, 4, 5])
+def test_packed_map_direct_on_a_line(cpl1, geo, n):
+    lay = build_layout(LatticeGeometry(*geo), n)
+    check_packed_map(compile_step(lay, cpl1, 0.4, "direct", 1))
+
+
+def test_packed_map_rejects_a_gate_that_moves_a_fermion(layout22, cpl1, monkeypatch):
+    cached = schedule_module._cached_gate
+    sigma_x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+
+    def faulty(name, params, dims):
+        return sigma_x if name == "mass_phase" else cached(name, params, dims)
+
+    monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
+    sched = compile_step(layout22, cpl1, TAU, "direct", 1)
+    with pytest.raises(ValueError, match="fermion number"):
+        schedule_physical_map(sched)
+    out = execute_array(sched, build_global_singlet(layout22).amplitudes)
+    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
