@@ -115,39 +115,76 @@ def make_link_algebra(N: int) -> LinkAlgebra:
     return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y)
 
 
-def hermitian_blocks(h: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Eigendecomposition of a Hermitian matrix, one exact-zero block at a time.
-
-    The connected components of the pattern (h != 0) | (h.T != 0) are the
-    diagonal blocks of h up to a permutation, so diagonalizing each one
-    gives exactly the spectrum of h, with no threshold.  Components of
-    equal size s are stacked into one entry (indices, eigenvalues,
-    eigenvectors) of shapes (k, s), (k, s), (k, s, s), one row per
-    component with its indices sorted, in increasing s.  As in
-    np.linalg.eigh, only the lower triangle of each block is read.
-    """
+def as_edges(h) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """An edge list (dim, rows, cols, vals) as given, or a dense square matrix's nonzeros."""
+    if isinstance(h, tuple):
+        return h
     h = np.asarray(h, dtype=np.complex128)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"matrix must be square, got shape {h.shape}")
-    neighbors = [np.flatnonzero(row).tolist() for row in (h != 0) | (h.T != 0)]
-    seen = [False] * h.shape[0]
-    by_size: dict[int, list[list[int]]] = {}
-    for seed in range(h.shape[0]):
-        if seen[seed]:
-            continue
-        seen[seed] = True
-        members = [seed]
-        for i in members:      # breadth-first: members grows while it is walked
-            for j in neighbors[i]:
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-        by_size.setdefault(len(members), []).append(sorted(members))
+    rows, cols = np.nonzero(h)
+    return h.shape[0], rows, cols, h[rows, cols]
+
+
+def coalesce_edges(dim: int, rows, cols, vals):
+    """Sum duplicate entries from 0 in list order, as a dense `h[r, c] += v`
+    entry by entry would, and drop exact zeros; the result is row-major."""
+    key = np.asarray(rows, dtype=np.int64) * dim + cols
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.diff(key, prepend=-1) != 0
+    summed = np.zeros(np.count_nonzero(first), dtype=np.complex128)
+    np.add.at(summed, np.cumsum(first) - 1, np.asarray(vals)[order])
+    key = key[first][summed != 0]
+    return dim, key // dim, key % dim, summed[summed != 0]
+
+
+def edges_to_dense(edges) -> np.ndarray:
+    """Dense matrix of an edge list without duplicate entries."""
+    dim, rows, cols, vals = edges
+    h = np.zeros((dim, dim), dtype=np.complex128)
+    h[rows, cols] = vals
+    return h
+
+
+def hermitian_blocks(h) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Eigendecomposition of a Hermitian matrix, one exact-zero block at a time.
+
+    h is an edge list (dim, rows, cols, vals), duplicates summed, or a
+    dense matrix; no dim x dim array is made.  ValueError if an entry of
+    h - h! exceeds HERMITICITY_TOL.  The connected components of the
+    nonzero pattern, read both ways, are the diagonal blocks of h up to a
+    permutation, so there is no threshold.  Min-label propagation with
+    pointer jumping labels each by its smallest index.  Components of
+    equal size s are stacked into one entry (indices, eigenvalues,
+    eigenvectors) of shapes (k, s), (k, s), (k, s, s), rows by smallest
+    index with indices sorted, in increasing s.
+    """
+    dim, rows, cols, vals = coalesce_edges(*as_edges(h))
+    a, b = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    skew = coalesce_edges(dim, a, b, np.concatenate([vals, -np.conj(vals)]))[3]   # h - h!
+    if np.any(np.abs(skew) > HERMITICITY_TOL):
+        raise ValueError("matrix is not Hermitian")
+    label, changed = np.arange(dim), True
+    while changed:
+        low = label.copy()
+        np.minimum.at(low, a, label[b])
+        while (low[low] != low).any():
+            low = low[low]
+        changed, label = (low != label).any(), low
+    size = np.bincount(label, minlength=dim)[label]
+    order = np.argsort(size * dim + label, kind="stable")   # indices stay sorted
+    counts = np.bincount(size)      # counts[s]: indices in components of size s
+    rank = np.argsort(order, kind="stable")     # where each index sits in order
+    # each index's row in the stack of its size, and its place in its block
+    row, place = np.divmod(rank - (np.cumsum(counts) - counts)[size], size)
     blocks = []
-    for size in sorted(by_size):
-        idx = np.array(by_size[size])
-        w, v = np.linalg.eigh(h[idx[:, :, None], idx[:, None, :]])
-        blocks.append((idx, w, v))
+    for s in np.flatnonzero(counts):
+        idx = order[size[order] == s].reshape(-1, s)
+        mats = np.zeros((idx.shape[0], s, s), dtype=np.complex128)
+        on = size[rows] == s
+        mats[row[rows[on]], place[rows[on]], place[cols[on]]] = vals[on]
+        blocks.append((idx, *np.linalg.eigh(mats)))
     return blocks
 
 
@@ -163,9 +200,6 @@ def exp_blocks(blocks, scale: complex) -> np.ndarray:
 
 def expm_from_hermitian(h: np.ndarray, scale: complex = -1j) -> np.ndarray:
     """exp(scale * h) for Hermitian h via its block eigendecomposition."""
-    h = np.asarray(h, dtype=np.complex128)
-    if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
-        raise ValueError("generator is not Hermitian")
     return exp_blocks(hermitian_blocks(h), scale)
 
 
@@ -388,24 +422,27 @@ def term_factor_maps(layout: RegisterLayout, name: str,
                           if geom.link_class(l) == cls)
 
 
-def _scatter(layout: RegisterLayout, names, couplings: Couplings) -> np.ndarray:
-    """Dense physical matrix of the named pieces, each map scattered in once."""
+def hamiltonian_edges(layout: RegisterLayout, names, couplings: Couplings):
+    """Edge list (dim, rows, cols, vals) of the named pieces on the physical
+    registers: each factor map scattered once, then `coalesce_edges`."""
     cols = np.arange(layout.physical_dim)
-    h = np.zeros((cols.size, cols.size), dtype=np.complex128)
+    rows, vals = [cols[:0]], [np.zeros(0, dtype=np.complex128)]   # a piece may have no map
     for name in names:
         maps = term_factor_maps(layout, name, couplings.h_e_variant)   # unknown names raise
         coupling = getattr(couplings, TERM_COUPLINGS[name])
         for factors in maps:
             target, amplitude = monomial_map(layout.physical_dims, factors)
-            h[target, cols] += coupling * amplitude
-    return h
+            rows.append(target)
+            vals.append(coupling * amplitude)
+    return coalesce_edges(cols.size, np.concatenate(rows), np.tile(cols, len(rows) - 1),
+                          np.concatenate(vals))
 
 
 def term_matrix(layout: RegisterLayout, name: str, couplings: Couplings) -> np.ndarray:
     """Dense physical matrix of a named term, honoring the electric variant."""
-    return _scatter(layout, [name], couplings)
+    return edges_to_dense(hamiltonian_edges(layout, [name], couplings))
 
 
 def total_hamiltonian(layout: RegisterLayout, couplings: Couplings) -> np.ndarray:
     """Sum of the eight terms on the physical registers."""
-    return _scatter(layout, TERM_NAMES, couplings)
+    return edges_to_dense(hamiltonian_edges(layout, TERM_NAMES, couplings))

@@ -61,7 +61,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     try:
         return _run(args, config)
-    except MemoryError as e:
+    except (MemoryError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

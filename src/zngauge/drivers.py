@@ -17,11 +17,10 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (LatticeGeometry, RegisterLayout, StateVector,
-                      ancilla_restoration_fidelity, born_sample, build_global_singlet,
-                      build_layout, lift_physical, project_ancillas)
-from .algebra import (Couplings, gauss_expectations, make_link_algebra,
-                      random_gauge_invariant_physical, total_hamiltonian)
+from .lattice import (RegisterLayout, StateVector, ancilla_restoration_fidelity,
+                      born_sample, build_global_singlet, lift_physical, project_ancillas)
+from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
+                      make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
                       selective_collision, stator_entangler, z3_collision_entangler)
@@ -119,6 +118,16 @@ def measure_configuration(state: StateVector, seed: int, shots: int) -> dict:
     }
 
 
+def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
+    """The 2x2, N = 3, per-plaquette layout of the drivers that build dense
+    maps; ValueError if the config asks for another lattice."""
+    asked = (config.Lx, config.Ly, config.N, config.ancilla_policy)
+    if asked != (2, 2, 3, "per_plaquette"):
+        raise ValueError(f"{driver} runs on the 2x2, N = 3, per-plaquette lattice only; the "
+                         f"config asks for (Lx, Ly, N, ancilla_policy) = {asked}")
+    return config.build_geometry()
+
+
 def quench_footprint_bytes(layout: RegisterLayout) -> int:
     """Bytes a quench holds: the state and the executor's two buffers."""
     return 3 * 16 * layout.total_dim
@@ -147,7 +156,7 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     state = build_global_singlet(layout)
     evolver = None
     if layout.physical_dim <= ORACLE_DIM_LIMIT:
-        evolver = ExactEvolver(total_hamiltonian(layout, cpl))
+        evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
         phys0 = project_ancillas(state.amplitudes, layout)
     rows = []
     for k in range(1, config.n_steps + 1):
@@ -211,12 +220,12 @@ def _check(name: str, residual: float, threshold: float) -> CheckResult:
 
 def run_verification_suite(config: SimulationConfig,
                            out_dir: str | None = None) -> tuple[bool, list[CheckResult]]:
-    """Invariant battery across all modules; dense parts use 2x2.
+    """Invariant battery across all modules, on the 2x2 lattice.
 
-    Couplings, order, mode, and angles come from the config; the
-    lattice for operator-norm work is pinned to 2x2 so the dense maps
-    stay tractable.
+    Couplings, order, mode, and angles come from the config; the lattice
+    must be that of `dense_layout`, so the dense maps stay tractable.
     """
+    lay = dense_layout(config, "verify")
     checks: list[CheckResult] = []
     rng = np.random.default_rng(config.seed)
     cpl = config.couplings()
@@ -241,8 +250,6 @@ def run_verification_suite(config: SimulationConfig,
     checks.append(_check("stator_eigenoperator", float(np.abs(lhs - rhs).max()), 1e-12))
 
     # dense work on 2x2
-    geom = LatticeGeometry(2, 2)
-    lay = build_layout(geom, 3)
     tau = config.T / config.n_steps
 
     # plaquette sandwich: compiled even-plaquette window vs closed form
@@ -254,7 +261,7 @@ def run_verification_suite(config: SimulationConfig,
     lam = solve_vertex_potential(lay, field)
     g = gauge_away_phases(lay, lam)
     central = gauge_away_phases(
-        lay, {v: 2 * (config.theta + config.theta_prime) for v in geom.vertices})
+        lay, {v: 2 * (config.theta + config.theta_prime) for v in lay.geometry.vertices})
     gauged = central[:, None] * (g[:, None] * u_dir * np.conj(g)[None, :])
     checks.append(_check("gauging_equivalence",
                          float(np.abs(u_cho - gauged).max()), 1e-10))
@@ -338,22 +345,26 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
 
     distance is the exact spectral norm of the step map's M-th power minus
     exp(-iHT), taken one block of H at a time; bound is the paper's
-    product-formula bound, gate_count that of one step.
+    product-formula bound for an LxL lattice (ValueError on any other
+    shape), gate_count that of one step.
     """
-    evolver = ExactEvolver(total_hamiltonian(layout, cpl))
+    L, Ly = layout.geometry.Lx, layout.geometry.Ly
+    if L != Ly:
+        raise ValueError(f"the Trotter bound is stated for LxL lattices, got {L}x{Ly}")
+    evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
     lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
     out = []
     for m in steps:
         sched = compile_step(layout, cpl, T / m, mode, order,
                              theta=theta, theta_prime=theta_prime)
         out.append((evolver.trotter_distance(schedule_physical_map(sched), m, T),
-                    trotter_bound(order, 2, lam_max, T, m), sched.gate_count()))
+                    trotter_bound(order, L, lam_max, T, m), sched.gate_count()))
     return out
 
 
 def run_trotter_scan(config: SimulationConfig, out_dir: str | None = None) -> list[dict]:
-    """Error-vs-step-count sweep on 2x2 against the exact propagator."""
-    lay = build_layout(LatticeGeometry(2, 2), 3)
+    """Error-vs-step-count sweep on the 2x2 lattice against the exact propagator."""
+    lay = dense_layout(config, "trotter-scan")
     cpl = config.couplings()
     errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, config.order, config.mode,
                             theta=config.theta, theta_prime=config.theta_prime)

@@ -16,8 +16,8 @@ import math
 import numpy as np
 
 from .lattice import RegisterLayout
-from .algebra import (Couplings, HERMITICITY_TOL, TERM_NAMES, exp_blocks,
-                      hermitian_blocks, term_matrix)
+from .algebra import (Couplings, TERM_NAMES, as_edges, exp_blocks, hamiltonian_edges,
+                      hermitian_blocks)
 
 ORACLE_DIM_LIMIT = 5000
 BLOCK_LEAK_TOL = 1e-12
@@ -32,16 +32,13 @@ class ExactEvolver:
     sector) and each is diagonalized on its own.
     """
 
-    def __init__(self, hamiltonian: np.ndarray):
-        h = np.asarray(hamiltonian, dtype=np.complex128)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError(f"hamiltonian must be square, got shape {h.shape}")
-        if h.shape[0] > ORACLE_DIM_LIMIT:
+    def __init__(self, hamiltonian):
+        """hamiltonian: an edge list (dim, rows, cols, vals) or a dense matrix."""
+        edges = as_edges(hamiltonian)
+        if edges[0] > ORACLE_DIM_LIMIT:
             raise ValueError(
-                f"dimension {h.shape[0]} exceeds the dense-diagonalization limit {ORACLE_DIM_LIMIT}")
-        if np.abs(h - h.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("hamiltonian is not Hermitian")
-        self.blocks = hermitian_blocks(h)
+                f"dimension {edges[0]} exceeds the dense-diagonalization limit {ORACLE_DIM_LIMIT}")
+        self.blocks = hermitian_blocks(edges)
 
     def propagator(self, t: float) -> np.ndarray:
         return exp_blocks(self.blocks, -1j * t)
@@ -144,7 +141,7 @@ def exact_norm_sum(layout: RegisterLayout, couplings: Couplings) -> float:
     """Sum of the exact spectral norms of the eight Hamiltonian pieces."""
     total = 0.0
     for name in TERM_NAMES:
-        blocks = hermitian_blocks(term_matrix(layout, name, couplings))
+        blocks = hermitian_blocks(hamiltonian_edges(layout, [name], couplings))
         total += max(float(np.abs(w).max()) for _, w, _ in blocks)
     return total
 

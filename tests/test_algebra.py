@@ -9,11 +9,13 @@ from conftest import (apply_factors, brute_force_term, embed_physical, taylor_ex
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
+    as_edges,
     electric_single_link,
     expm_from_hermitian,
     fermion_op,
     gauss_expectations,
     gauss_law_operator,
+    hamiltonian_edges,
     hermitian_blocks,
     hopping_factors,
     make_link_algebra,
@@ -139,6 +141,75 @@ def test_hermitian_blocks_match_dense_eigh(case):
     np.testing.assert_allclose(rebuilt, h, rtol=0, atol=1e-12)
     with pytest.raises(ValueError):
         hermitian_blocks(np.ones((3, 4)))
+
+
+def _shuffled_edges(h, rng):
+    """h's nonzero entries as a shuffled edge list, each split into two duplicates."""
+    dim, rows, cols, vals = as_edges(h)
+    part = rng.uniform(0.2, 0.8, size=vals.size) * vals
+    rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+    vals = np.concatenate([part, vals - part])
+    perm = rng.permutation(vals.size)
+    return dim, rows[perm], cols[perm], vals[perm]
+
+
+def test_hermitian_blocks_from_shuffled_duplicated_edges():
+    rng = np.random.default_rng(22)
+    h, planted = _planted_blocks([1, 3, 1, 6, 2, 1, 4, 6, 2, 1], rng)
+    blocks = hermitian_blocks(_shuffled_edges(h, rng))
+    assert {tuple(row) for idx, _, _ in blocks for row in idx.tolist()} == planted
+    energies = np.sort(np.concatenate([w.ravel() for _, w, _ in blocks]))
+    np.testing.assert_allclose(energies, np.linalg.eigvalsh(h), rtol=0, atol=1e-12)
+    for idx, w, v in blocks:
+        rebuilt = (v * w[:, None, :]) @ v.conj().transpose(0, 2, 1)
+        np.testing.assert_allclose(rebuilt, h[idx[:, :, None], idx[:, None, :]],
+                                   rtol=0, atol=1e-12)
+
+
+def test_hermitian_blocks_drop_entries_that_cancel_exactly():
+    # (0, 2) and (2, 0) sum to an exact zero, so {0, 1} and {2, 3} stay apart
+    rows = np.array([0, 1, 0, 2, 3, 2, 0, 2])
+    cols = np.array([1, 0, 2, 0, 2, 3, 2, 0])
+    vals = np.array([0.5, 0.5, 0.25, 0.25, 2.0, 2.0, -0.25, -0.25], dtype=complex)
+    blocks = hermitian_blocks((4, rows, cols, vals))
+    assert len(blocks) == 1
+    idx, w, _ = blocks[0]
+    assert idx.tolist() == [[0, 1], [2, 3]]
+    np.testing.assert_allclose(w, [[-0.5, 0.5], [-2.0, 2.0]], rtol=0, atol=1e-15)
+
+
+def test_hermitian_blocks_of_an_empty_edge_list():
+    empty = np.zeros(0, dtype=np.int64)
+    blocks = hermitian_blocks((5, empty, empty, np.zeros(0, dtype=complex)))
+    assert len(blocks) == 1
+    idx, w, v = blocks[0]
+    assert idx.tolist() == [[0], [1], [2], [3], [4]]
+    assert np.array_equal(w, np.zeros((5, 1)))
+    assert np.array_equal(v, np.ones((5, 1, 1)))
+
+
+@pytest.mark.parametrize("names", [TERM_NAMES] + [(n,) for n in TERM_NAMES])
+def test_hamiltonian_edges_give_the_dense_route_blocks_bit_for_bit(layout22, names):
+    cpl = Couplings(0.7, 1.3, 0.9, 1.1)
+    edges = hamiltonian_edges(layout22, names, cpl)
+    dense = total_hamiltonian(layout22, cpl) if len(names) > 1 else term_matrix(
+        layout22, names[0], cpl)
+    dim, rows, cols, vals = edges
+    assert dim == layout22.physical_dim
+    assert np.all(vals != 0)
+    assert np.array_equal(rows * dim + cols, np.flatnonzero(dense))
+    assert np.array_equal(vals, dense[rows, cols])
+    got, want = hermitian_blocks(edges), hermitian_blocks(dense)
+    assert len(got) == len(want)
+    inside = np.zeros(dense.shape, dtype=bool)
+    for (idx, w, v), (idx2, w2, v2) in zip(got, want):
+        assert np.array_equal(idx, idx2) and np.array_equal(w, w2) and np.array_equal(v, v2)
+        # the same stack a dense gather gives, diagonalized bit for bit
+        cut = (idx[:, :, None], idx[:, None, :])
+        w3, v3 = np.linalg.eigh(dense[cut])
+        assert np.array_equal(w, w3) and np.array_equal(v, v3)
+        inside[cut] = True
+    assert not dense[~inside].any()
 
 
 def test_fermion_anticommutation():

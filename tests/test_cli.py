@@ -70,6 +70,12 @@ def test_trotter_scan_exit_code(tmp_path):
     assert len(proc.stdout.strip().split("\n")) == 6
 
 
+def test_trotter_scan_on_another_lattice_exits_2(tmp_path):
+    proc = run_cli("trotter-scan", "--config", write_config(tmp_path, Lx=3, Ly=2))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "trotter-scan" in proc.stderr
+
+
 def test_optical_exit_code():
     proc = run_cli("optical")
     assert proc.returncode == 0

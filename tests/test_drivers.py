@@ -6,7 +6,10 @@ import os
 import numpy as np
 import pytest
 
-from zngauge.algebra import make_link_algebra
+import zngauge.algebra as algebra
+import zngauge.drivers as drivers
+import zngauge.oracle as oracle
+from zngauge.algebra import Couplings, make_link_algebra
 from zngauge.config import SimulationConfig
 from zngauge.drivers import (
     CheckResult,
@@ -18,6 +21,7 @@ from zngauge.drivers import (
     run_quench,
     run_trotter_scan,
     run_verification_suite,
+    trotter_errors,
     write_csv,
 )
 from zngauge.lattice import (
@@ -182,6 +186,38 @@ def test_trotter_scan_rows(tmp_path):
     scan = (out / "trotter_scan.csv").read_text().strip().split("\n")
     assert scan[0] == "n_steps,tau,distance,bound,bound_valid,gate_count"
     assert len(scan) == 6
+
+
+@pytest.mark.parametrize("run", [run_trotter_scan, run_verification_suite])
+@pytest.mark.parametrize("field", [{"Lx": 3, "Ly": 2}, {"N": 2, "mode": "direct"},
+                                   {"ancilla_policy": "shared"}])
+def test_dense_drivers_reject_another_lattice(run, field):
+    with pytest.raises(ValueError, match="config asks for"):
+        run(SimulationConfig(**field))
+
+
+def test_trotter_bound_takes_the_lattice_side(layout22):
+    cpl = Couplings(0.7, 1.3, 0.9, 1.1)
+    rows = trotter_errors(layout22, cpl, 1.0, (4, 8), 1, "direct")
+    lam_max = 1.3
+    assert [bnd for _, bnd, _ in rows] == [45.0 * 2**4 * lam_max**2 / m for m in (4, 8)]
+    with pytest.raises(ValueError, match="LxL"):
+        trotter_errors(build_layout(LatticeGeometry(1, 3), 3), cpl, 1.0, (4,), 1, "direct")
+
+
+def test_drivers_build_no_dense_hamiltonian(monkeypatch, tmp_path):
+    def dense(*args, **kwargs):
+        raise RuntimeError("a driver built a dense physical Hamiltonian")
+
+    for module in (algebra, drivers, oracle):
+        for name in ("term_matrix", "total_hamiltonian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, dense)
+    monkeypatch.setattr(drivers, "SCAN_STEPS", (4,))
+    rows = run_trotter_scan(SimulationConfig(), str(tmp_path / "scan"))
+    assert rows[0]["distance"] > 0
+    rows = run_quench(SimulationConfig(mode="direct", n_steps=2))
+    assert 0.0 < rows[-1]["fidelity_exact"] <= 1.0 + 1e-12
 
 
 def test_optical_scan_outputs(tmp_path):

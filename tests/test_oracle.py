@@ -1,12 +1,14 @@
 """Exact propagators, spectral-norm distances, and the analytic budgets."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import zngauge.oracle as oracle
 from conftest import taylor_expm
-from zngauge.algebra import (TERM_NAMES, Couplings, expm_from_hermitian, term_matrix,
-                             total_hamiltonian)
+from zngauge.algebra import (TERM_NAMES, Couplings, as_edges, expm_from_hermitian,
+                             hamiltonian_edges, term_matrix, total_hamiltonian)
 from zngauge.lattice import build_global_singlet, project_ancillas
 from zngauge.oracle import (
     ExactEvolver,
@@ -41,6 +43,32 @@ def test_evolver_dim_cap(monkeypatch):
     ExactEvolver(np.eye(8))
 
 
+def test_evolver_checks_hermiticity_on_edges():
+    h = random_hermitian(6, np.random.default_rng(5))
+    h[0, 5] = h[5, 0] = 0.0
+    dim, rows, cols, vals = as_edges(h)
+    # an entry at (0, 5) with nothing at (5, 0)
+    one_sided = (dim, np.append(rows, 0), np.append(cols, 5), np.append(vals, 1e-9))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        ExactEvolver(one_sided)
+    nudged = vals.copy()
+    nudged[0] += 1e-11
+    ExactEvolver((dim, rows, cols, nudged))
+
+
+def test_evolver_dim_cap_allocates_nothing_of_size_dim_squared():
+    dim = oracle.ORACLE_DIM_LIMIT + 1
+    empty = np.zeros(0, dtype=np.int64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="exceeds"):
+            ExactEvolver((dim, empty, empty, np.zeros(0, dtype=complex)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dim * 16      # one complex row, against dim**2 * 16 bytes for the matrix
+
+
 def test_propagator_against_taylor():
     rng = np.random.default_rng(1)
     h = random_hermitian(9, rng)
@@ -64,8 +92,9 @@ def test_energy_is_conserved(layout22, cpl1):
 
 
 def test_evolver_matches_dense_eigh_on_the_2x2_hamiltonian(layout22):
-    h = total_hamiltonian(layout22, Couplings(0.7, 1.3, 0.9, 1.1))
-    ev = ExactEvolver(h)
+    cpl = Couplings(0.7, 1.3, 0.9, 1.1)
+    h = total_hamiltonian(layout22, cpl)
+    ev = ExactEvolver(hamiltonian_edges(layout22, TERM_NAMES, cpl))
     # every block lies inside one joint Gauss sector; the largest is the
     # 18-dimensional gauge-invariant one
     assert max(idx.shape[1] for idx, _, _ in ev.blocks) <= 18
