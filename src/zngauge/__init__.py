@@ -18,14 +18,13 @@ from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
 from .schedule import (Schedule, compile_step, dump_schedule, execute,
-                       gauge_away_phases, parse_schedule,
-                       schedule_physical_map, solve_vertex_potential,
-                       spurious_phase_field, total_fermion_number)
-from .oracle import (ExactEvolver, diamond_surrogate_distance,
-                     phase_aligned_distance, spectral_norm, steps_required,
+                       gauge_away_phases, schedule_physical_map,
+                       solve_vertex_potential, spurious_phase_field,
+                       total_fermion_number)
+from .oracle import (ExactEvolver, diamond_surrogate_distance, steps_required,
                      trotter_bound)
 from .optical import (polarization_vectors, shaping_schedule, v_mat,
                       v_mat_minima, wave_vectors)
-from .config import SimulationConfig, config_from_dict, load_config, save_config
+from .config import SimulationConfig, config_from_dict, load_config
 from .drivers import (flux_sector_probabilities, measure_configuration,
                       run_quench, run_verification_suite)

@@ -98,8 +98,3 @@ def load_config(path: str) -> SimulationConfig:
         raise ValueError(f"config file {path} must hold a JSON object")
     return config_from_dict(data)
 
-
-def save_config(config: SimulationConfig, path: str):
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(config.as_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

@@ -237,20 +237,6 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
-def basis_state(layout: RegisterLayout, digits: dict[int, int]) -> StateVector:
-    """Product basis state with given digit per register index (default 0)."""
-    dims = layout.dims
-    idx = 0
-    for i, d in enumerate(dims):
-        dig = digits.get(i, 0)
-        if not (0 <= dig < d):
-            raise ValueError(f"digit {dig} out of range for register {i} (dim {d})")
-        idx = idx * d + dig
-    amp = np.zeros(layout.total_dim, dtype=np.complex128)
-    amp[idx] = 1.0
-    return StateVector(layout, amp)
-
-
 def build_global_singlet(layout: RegisterLayout) -> StateVector:
     """Reference gauge-invariant state.
 
@@ -268,25 +254,6 @@ def build_global_singlet(layout: RegisterLayout) -> StateVector:
             local[1 if occupied else 0] = 1.0
         amp = np.kron(amp, local)
     return StateVector(layout, amp)
-
-
-def apply_gate(state: StateVector, gate_matrix: np.ndarray, targets: list[int]) -> StateVector:
-    """Apply a unitary acting on the given registers.
-
-    The gate matrix is indexed in the row-major mixed-radix basis of the
-    target registers, in the order given by `targets`.
-    """
-    amp = _apply_gate_array(state.amplitudes, state.layout, gate_matrix, targets)
-    out = StateVector(state.layout, amp)
-    return out
-
-
-def _apply_gate_array(amplitudes: np.ndarray, layout: RegisterLayout,
-                      gate_matrix: np.ndarray, targets) -> np.ndarray:
-    """One gate on raw amplitudes, run as a one-group plan; trailing axes
-    beyond the layout are batch."""
-    dims = tuple(int(d) for d in layout.dims)
-    return run_gates((gate_group(dims, gate_matrix, targets),), dims, amplitudes)
 
 
 @dataclass(frozen=True)
@@ -429,13 +396,6 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
     return cur.reshape(amplitudes.shape)
 
 
-def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
-    """|<a|b>| -- insensitive to a global phase."""
-    if a.amplitudes.shape != b.amplitudes.shape:
-        raise ValueError("state length mismatch")
-    return float(abs(np.vdot(a.amplitudes, b.amplitudes)))
-
-
 def ancilla_restoration_fidelity(state: StateVector) -> float:
     """Overlap of the state with the |in~>-restored-ancilla subspace.
 
@@ -485,10 +445,4 @@ def born_sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.
     p = np.abs(state.amplitudes) ** 2
     p = p / p.sum()
     flat = rng.choice(len(p), size=shots, p=p)
-    dims = state.layout.dims
-    digits = np.zeros((shots, len(dims)), dtype=np.int64)
-    rem = flat.copy()
-    for i in range(len(dims) - 1, -1, -1):
-        digits[:, i] = rem % dims[i]
-        rem //= dims[i]
-    return digits
+    return np.stack(np.unravel_index(flat, state.layout.dims), axis=1)

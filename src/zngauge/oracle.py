@@ -3,10 +3,10 @@
 The oracle path diagonalizes the physical Hamiltonian once, block by
 exact-zero block, and exponentiates eigenvalues, so it is exact to
 rounding and serves as the reference for every Trotter comparison.
-Distances are exact spectral norms (largest singular values) of map
-differences on the physical registers.  The Trotter distance
-||step^M - exp(-iHT)||_2 is taken one block of H at a time, since a step
-map built from the Hamiltonian's pieces never couples two of its blocks.
+The Trotter distance ||step^M - exp(-iHT)||_2, an exact spectral norm on
+the physical registers, is taken one block of H at a time, since a step
+map built from the Hamiltonian's pieces never couples two of its blocks;
+`diamond_surrogate_distance` takes the same norm of two dense maps.
 """
 
 from __future__ import annotations
@@ -77,38 +77,19 @@ class ExactEvolver:
         return dist
 
 
-def _as_matrix(m, dim: int) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (dim, dim):
-        raise ValueError(f"map matrix has shape {m.shape}, expected {(dim, dim)}")
-    return m
-
-
-def spectral_norm(matrix: np.ndarray) -> float:
-    """Largest singular value, exact to rounding (a dense SVD)."""
-    return float(np.linalg.norm(np.asarray(matrix, dtype=np.complex128), 2))
-
-
 def diamond_surrogate_distance(map_a, map_b, dim: int) -> float:
     """Spectral norm of the difference of two dense maps on the physical space."""
-    return spectral_norm(_as_matrix(map_a, dim) - _as_matrix(map_b, dim))
+    a, b = (np.asarray(m, dtype=np.complex128) for m in (map_a, map_b))
+    for m in (a, b):
+        if m.shape != (dim, dim):
+            raise ValueError(f"map matrix has shape {m.shape}, expected {(dim, dim)}")
+    return float(np.linalg.norm(a - b, 2))
 
 
 def trace_phase(a: np.ndarray, b: np.ndarray) -> complex:
     """The phase phi minimizing ||a - phi b||_F: tr(b! a) / |tr(b! a)|, or 1 if that is 0."""
     tr = np.vdot(b, a)
     return tr / abs(tr) if abs(tr) > 0 else 1.0
-
-
-def phase_aligned_distance(map_a, map_b, dim: int) -> float:
-    """Spectral norm of A - phi B at the trace phase phi of `trace_phase`.
-
-    The trace phase cancels any global phase between the maps exactly;
-    in general the value is an upper bound on the minimum over all phases.
-    """
-    a = _as_matrix(map_a, dim)
-    b = _as_matrix(map_b, dim)
-    return spectral_norm(a - trace_phase(a, b) * b)
 
 
 # ---------------------------------------------------------------------------

@@ -669,16 +669,3 @@ def dump_schedule(schedule: Schedule) -> str:
         lines.append(f"{op.stage}\t{op.name}\t{targets}\t{params}")
     return "\n".join(lines) + "\n"
 
-
-def parse_schedule(text: str, layout: RegisterLayout, mode: str, order: int,
-                   tau: float, theta: float = 0.0, theta_prime: float = 0.0) -> Schedule:
-    """Inverse of dump_schedule (substep metadata is not serialized)."""
-    ops = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        stage_s, name, targets_s, params_s = line.split("\t")
-        targets = tuple(int(t) for t in targets_s.split(",")) if targets_s else ()
-        params = tuple(float(p) for p in params_s.split(",")) if params_s else ()
-        ops.append(GateOp(name, targets, params, int(stage_s)))
-    return Schedule(layout, tuple(ops), mode, order, tau, theta, theta_prime, ())

@@ -27,6 +27,7 @@ from .algebra import (
     PARITY_Z,
     SIGMA_MINUS,
     SIGMA_PLUS,
+    electric_single_link,
     expm_from_hermitian,
     make_link_algebra,
 )
@@ -182,7 +183,6 @@ def gate_matrix(name: str, params: tuple[float, ...], target_dims: tuple[int, ..
         need(1)
         alg = make_link_algebra(target_dims[0])
         (c,) = params
-        from .algebra import electric_single_link
         variant = "group" if name == "electric_group" else "z3-implementation"
         return expm_from_hermitian(electric_single_link(alg, variant), -1j * c)
 
@@ -305,19 +305,9 @@ def n0_pair_phase(beta: float) -> np.ndarray:
 # single-register ancilla gates
 
 
-def ancilla_flip(N: int = 3) -> np.ndarray:
-    """V~_F, the label-reversal unitary on one ancilla."""
-    return flip_matrix(N)
-
-
 def ancilla_fourier(N: int = 3) -> np.ndarray:
     """V~_D, converting Q-type stators to P-type (S_P = V~_D S_Q)."""
     return make_link_algebra(N).dft.copy()
-
-
-def control_field_rotation(tau: float, lambda_b: float, N: int = 3) -> np.ndarray:
-    """V~_B = exp(-i tau lambda_b (Q~ + Q~!)) on one ancilla."""
-    return gate_matrix("anc_drive", (tau * lambda_b,), (N,))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import LatticeGeometry, StateVector, apply_gate, build_layout
+from zngauge.lattice import LatticeGeometry, StateVector, build_layout, gate_group, run_gates
 
 
 @pytest.fixture(scope="session")
@@ -81,10 +81,10 @@ def random_unitary(dim, rng):
 
 
 def apply_factors(state: StateVector, factors: dict[int, np.ndarray]) -> StateVector:
-    """Apply a factor map whose every factor is unitary, register by register."""
-    for i, m in sorted(factors.items()):
-        state = apply_gate(state, m, [i])
-    return state
+    """Apply a factor map whose every factor is unitary, one gate per register."""
+    dims = tuple(int(d) for d in state.layout.dims)
+    groups = tuple(gate_group(dims, m, [i]) for i, m in sorted(factors.items()))
+    return StateVector(state.layout, run_gates(groups, dims, state.amplitudes))
 
 
 def brute_force_term(layout, name, couplings):

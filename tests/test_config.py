@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from zngauge.config import SimulationConfig, config_from_dict, load_config, save_config
+from zngauge.config import SimulationConfig, config_from_dict, load_config
 
 
 def test_defaults():
@@ -28,10 +28,9 @@ def test_dict_round_trip(tmp_path):
     again = config_from_dict(cfg.as_dict())
     assert again == cfg
     path = tmp_path / "run.json"
-    save_config(cfg, path)
-    text = path.read_text()
-    assert text.endswith("\n")
-    assert json.loads(text)["Lx"] == 3
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(cfg.as_dict(), f)
+    assert json.loads(path.read_text())["Lx"] == 3
     assert load_config(path) == cfg
 
 

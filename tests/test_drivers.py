@@ -26,9 +26,11 @@ from zngauge.drivers import (
 )
 from zngauge.lattice import (
     LatticeGeometry,
-    apply_gate,
+    StateVector,
     build_global_singlet,
     build_layout,
+    gate_group,
+    run_gates,
 )
 
 EXPECTED_CHECKS = [
@@ -59,7 +61,10 @@ def test_flux_probabilities_on_singlet(layout22):
     np.testing.assert_allclose(dist, [1.0, 0.0, 0.0], atol=1e-12)
     # raising one positively oriented link moves the whole weight to label 1
     alg = make_link_algebra(3)
-    raised = apply_gate(st, alg.q, [layout22.link_index(((0, 0), 1))])
+    dims = tuple(int(d) for d in layout22.dims)
+    link = layout22.link_index(((0, 0), 1))
+    raised = StateVector(layout22, run_gates((gate_group(dims, alg.q, [link]),), dims,
+                                             st.amplitudes))
     dist1 = flux_sector_probabilities(raised)[(0, 0)]
     np.testing.assert_allclose(dist1, [0.0, 1.0, 0.0], atol=1e-12)
 

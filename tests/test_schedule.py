@@ -18,22 +18,21 @@ import zngauge.schedule as schedule_module
 from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
-    _apply_gate_array,
     block_group,
     build_global_singlet,
     build_layout,
-    fidelity_up_to_phase,
     gate_group,
     lift_physical,
     project_ancillas,
+    run_gates,
 )
 from zngauge.schedule import (
+    Schedule,
     _substep_ranges,
     compile_step,
     dump_schedule,
     execute,
     execute_array,
-    parse_schedule,
     plaquette_curl,
     gauge_away_phases,
     schedule_physical_map,
@@ -282,7 +281,7 @@ def test_modes_agree_on_a_wider_lattice():
         st = StateVector(lay, lift_physical(phys, lay))
         out_cho = execute(compile_step(lay, cpl, TAU, "choreography", 1), st)
         out_dir = execute(compile_step(lay, cpl, TAU, "direct", 1), st)
-        assert fidelity_up_to_phase(out_cho, out_dir) > 1 - 1e-12, policy
+        assert abs(np.vdot(out_cho.amplitudes, out_dir.amplitudes)) > 1 - 1e-12, policy
 
 
 def test_dump_parse_round_trip(sched_cho1, layout22):
@@ -291,10 +290,6 @@ def test_dump_parse_round_trip(sched_cho1, layout22):
     lines = text.strip("\n").split("\n")
     assert len(lines) == 98
     assert all(len(line.split("\t")) == 4 for line in lines)
-    parsed = parse_schedule(text, layout22, sched_cho1.mode, sched_cho1.order,
-                            sched_cho1.tau)
-    assert list(parsed.ops) == list(sched_cho1.ops)
-    assert dump_schedule(parsed) == text
 
 
 def test_compile_is_deterministic(layout22, cpl1, sched_cho1):
@@ -317,12 +312,12 @@ def test_execute_array_slicing_matches_manual(sched_dir1, layout22):
 def reference_execute(sched, amplitudes, op_range=None):
     """Gate-by-gate loop of the single-gate kernel over Schedule.ops."""
     lo, hi = op_range if op_range is not None else (0, len(sched.ops))
-    dims = sched.layout.dims
+    dims = tuple(int(d) for d in sched.layout.dims)
     work = amplitudes
     for op in sched.ops[lo:hi]:
         if op.name != "idle":
-            gate = gate_matrix(op.name, op.params, tuple(int(dims[t]) for t in op.targets))
-            work = _apply_gate_array(work, sched.layout, gate, op.targets)
+            gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
+            work = run_gates((gate_group(dims, gate, op.targets),), dims, work)
     return work
 
 
@@ -379,7 +374,8 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
 
 @pytest.mark.parametrize("targets, message", [("99", "out of range"), ("4,4", "repeated")])
 def test_fused_executor_rejects_bad_targets(layout22, targets, message):
-    sched = parse_schedule(f"1\tdft_link\t{targets}\t\n", layout22, "direct", 1, TAU)
+    op = GateOp("dft_link", tuple(int(t) for t in targets.split(",")), (), 1)
+    sched = Schedule(layout22, (op,), "direct", 1, TAU, 0.0, 0.0, ())
     with pytest.raises(ValueError, match=message):
         execute_array(sched, build_global_singlet(layout22).amplitudes)
 

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from conftest import taylor_expm
-from zngauge.lattice import ancilla_restoration_fidelity, apply_gate, build_global_singlet
+from zngauge.lattice import (StateVector, ancilla_restoration_fidelity, build_global_singlet,
+                             gate_group, run_gates)
 from zngauge.stators import (
     COLLISION_ANGLE,
     GATE_VOCABULARY,
     GateOp,
-    ancilla_flip,
     ancilla_fourier,
     collision_calibration,
     collision_unitary,
-    control_field_rotation,
     eta_couplings,
     flip_matrix,
     gate_matrix,
@@ -157,7 +156,7 @@ def test_uw_is_occupation_controlled_clock(alg3):
 
 
 def test_flip_and_fourier_ancilla_gates(alg3):
-    f = ancilla_flip()
+    f = flip_matrix(3)
     assert np.abs(f @ f - np.eye(3)).max() < 1e-14
     assert f[0, 0] == 1.0
     assert np.abs(flip_matrix(4) @ flip_matrix(4) - np.eye(4)).max() < 1e-14
@@ -167,7 +166,7 @@ def test_flip_and_fourier_ancilla_gates(alg3):
 def test_control_field_rotation_against_taylor(alg3):
     tau, lam = 0.23, 1.7
     oracle = taylor_expm(-1j * tau * lam * (alg3.q + alg3.q.conj().T))
-    assert np.abs(control_field_rotation(tau, lam) - oracle).max() < 1e-12
+    assert np.abs(gate_matrix("anc_drive", (tau * lam,), (3,)) - oracle).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -305,32 +304,31 @@ def test_plaquette_sequence_inverts(layout22):
     rng = np.random.default_rng(9)
     amp = rng.normal(size=layout22.total_dim) + 1j * rng.normal(size=layout22.total_dim)
     amp /= np.linalg.norm(amp)
-    from zngauge.lattice import StateVector
-
-    st = StateVector(layout22, amp)
-    for op in plaquette_stator_sequence(layout22, (0, 0)):
-        dims = tuple(layout22.dims[t] for t in op.targets)
-        st = apply_gate(st, gate_matrix(op.name, op.params, dims), list(op.targets))
-    for op in plaquette_stator_sequence(layout22, (0, 0), "inverse"):
-        dims = tuple(layout22.dims[t] for t in op.targets)
-        st = apply_gate(st, gate_matrix(op.name, op.params, dims), list(op.targets))
-    assert np.abs(st.amplitudes - amp).max() < 1e-12
+    dims = tuple(int(d) for d in layout22.dims)
+    ops = (plaquette_stator_sequence(layout22, (0, 0))
+           + plaquette_stator_sequence(layout22, (0, 0), "inverse"))
+    groups = []
+    for op in ops:
+        gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
+        groups.append(gate_group(dims, gate, op.targets))
+    assert np.abs(run_gates(groups, dims, amp) - amp).max() < 1e-12
 
 
 def test_stator_mediated_drive_on_full_register_set(layout22, alg3):
     """Entangle one link with the ancilla, drive the ancilla, disentangle:
     the ancilla is restored exactly and the link picked up the group op."""
     u_i = stator_entangler(alg3)
-    st = build_global_singlet(layout22)
-    st = apply_gate(st, u_i, [4, 8])
-    st = apply_gate(st, alg3.q, [8])
-    st = apply_gate(st, u_i.conj().T, [4, 8])
+    dims = tuple(int(d) for d in layout22.dims)
+    singlet = build_global_singlet(layout22).amplitudes
+
+    def sandwich(drive):
+        groups = (gate_group(dims, u_i, [4, 8]), gate_group(dims, drive, [8]),
+                  gate_group(dims, u_i.conj().T, [4, 8]))
+        return StateVector(layout22, run_gates(groups, dims, singlet))
+
+    st = sandwich(alg3.q)
     assert ancilla_restoration_fidelity(st) == pytest.approx(1.0, abs=1e-12)
-    want = apply_gate(build_global_singlet(layout22), alg3.q.conj().T, [4])
-    assert np.abs(st.amplitudes - want.amplitudes).max() < 1e-12
+    want = run_gates((gate_group(dims, alg3.q.conj().T, [4]),), dims, singlet)
+    assert np.abs(st.amplitudes - want).max() < 1e-12
     # a P~ drive instead leaves the ancilla fully outside the restored space
-    st2 = build_global_singlet(layout22)
-    st2 = apply_gate(st2, u_i, [4, 8])
-    st2 = apply_gate(st2, alg3.p, [8])
-    st2 = apply_gate(st2, u_i.conj().T, [4, 8])
-    assert ancilla_restoration_fidelity(st2) < 1e-12
+    assert ancilla_restoration_fidelity(sandwich(alg3.p)) < 1e-12
