@@ -9,7 +9,7 @@ Trotter step and the optical-lattice design utilities.
 from .lattice import (LatticeGeometry, Register, RegisterLayout, StateVector,
                       ancilla_restoration_fidelity, born_sample,
                       build_global_singlet, build_layout, lift_physical,
-                      project_ancillas)
+                      marginals, project_ancillas)
 from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
                       gauss_law_operator, make_link_algebra,
                       random_gauge_invariant_physical, term_matrix,

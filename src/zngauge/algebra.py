@@ -27,6 +27,7 @@ from .lattice import (
     StateVector,
     Vertex,
     is_even,
+    marginals,
 )
 
 HERMITICITY_TOL = 1e-10
@@ -314,14 +315,11 @@ def gauss_expectations(state: StateVector) -> dict[Vertex, complex]:
     dotted with the diagonal of Theta(x) there.
     """
     layout = state.layout
-    probs = (np.abs(state.amplitudes) ** 2).reshape(tuple(layout.dims))
-    out = {}
-    for v in layout.geometry.vertices:
-        support, diag = _gauss_diagonal(layout, v)
-        others = tuple(i for i in range(probs.ndim) if i not in support)
-        marginal = probs.sum(axis=others)
-        out[v] = complex(np.dot(marginal.reshape(-1), diag))
-    return out
+    verts = layout.geometry.vertices
+    forms = [_gauss_diagonal(layout, v) for v in verts]
+    probs = marginals(state, [support for support, _ in forms])
+    return {v: complex(np.dot(p.reshape(-1), diag))
+            for v, (_, diag), p in zip(verts, forms, probs)}
 
 
 def project_gauge_invariant(layout: RegisterLayout, physical: np.ndarray) -> np.ndarray:

@@ -60,9 +60,8 @@ class SimulationConfig:
         return asdict(self)
 
 
+# field name -> "int", "float" or "str" (annotations stay strings here)
 _FIELD_TYPES = {f.name: f.type for f in fields(SimulationConfig)}
-_INT_FIELDS = {"Lx", "Ly", "N", "n_steps", "order", "seed"}
-_STR_FIELDS = {"mode", "ancilla_policy", "h_e_variant"}
 
 
 def config_from_dict(data: dict) -> SimulationConfig:
@@ -72,11 +71,12 @@ def config_from_dict(data: dict) -> SimulationConfig:
         raise ValueError(f"unknown config keys: {unknown}")
     clean: dict = {}
     for key, value in data.items():
-        if key in _INT_FIELDS:
+        kind = _FIELD_TYPES[key]
+        if kind == "int":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"config key {key} must be an integer, got {value!r}")
             clean[key] = value
-        elif key in _STR_FIELDS:
+        elif kind == "str":
             if not isinstance(value, str):
                 raise ValueError(f"config key {key} must be a string, got {value!r}")
             clean[key] = value

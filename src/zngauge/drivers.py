@@ -18,7 +18,8 @@ from importlib import metadata
 import numpy as np
 
 from .lattice import (RegisterLayout, StateVector, ancilla_restoration_fidelity,
-                      born_sample, build_global_singlet, lift_physical, project_ancillas)
+                      born_sample, build_global_singlet, lift_physical, marginals,
+                      project_ancillas)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
@@ -78,20 +79,15 @@ def flux_sector_probabilities(state: StateVector) -> dict:
     """
     layout = state.layout
     geom = layout.geometry
-    N = layout.N
-    probs = np.abs(state.amplitudes.reshape(tuple(layout.dims))) ** 2
+    # each plaquette's (link register, orientation) pairs in register order
+    edges = [sorted((layout.link_index(l), o) for l, o in geom.plaquette_links(p))
+             for p in geom.plaquettes]
+    joints = marginals(state, [[t for t, _ in e] for e in edges])
     out = {}
-    for p in geom.plaquettes:
-        axes = [layout.link_index(l) for l, _ in geom.plaquette_links(p)]
-        orients = [o for _, o in geom.plaquette_links(p)]
-        keep = tuple(i for i in range(len(layout.registers)) if i not in axes)
-        joint = probs.sum(axis=keep)
-        joint = np.moveaxis(joint, np.argsort(np.argsort(axes)), range(4))
-        dist = np.zeros(N)
-        for idx in np.ndindex(*joint.shape):
-            label = sum(o * m for o, m in zip(orients, idx)) % N
-            dist[label] += joint[idx]
-        out[p] = dist
+    for p, e, joint in zip(geom.plaquettes, edges, joints):
+        orients = np.array([o for _, o in e])
+        labels = np.tensordot(orients, np.indices(joint.shape), axes=1) % layout.N
+        out[p] = np.bincount(labels.reshape(-1), weights=joint.reshape(-1), minlength=layout.N)
     return out
 
 

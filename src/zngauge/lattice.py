@@ -230,12 +230,6 @@ class StateVector:
         if abs(n - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: ||psi|| = {n}")
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def build_global_singlet(layout: RegisterLayout) -> StateVector:
     """Reference gauge-invariant state.
@@ -244,16 +238,11 @@ def build_global_singlet(layout: RegisterLayout) -> StateVector:
     vacuum), each ancilla in the uniform superposition |in~>, which is the
     eigenvalue-1 eigenvector of the ancilla shift operator.
     """
-    amp = np.ones(1, dtype=np.complex128)
-    for r in layout.registers:
-        if r.kind == "ancilla":
-            local = np.full(r.dim, 1 / np.sqrt(r.dim), dtype=np.complex128)
-        else:
-            occupied = r.kind == "fermion" and not is_even(r.site)
-            local = np.zeros(r.dim, dtype=np.complex128)
-            local[1 if occupied else 0] = 1.0
-        amp = np.kron(amp, local)
-    return StateVector(layout, amp)
+    digits = [int(r.kind == "fermion" and not is_even(r.site))
+              for r in layout.registers if r.kind != "ancilla"]
+    physical = np.zeros(layout.physical_dim, dtype=np.complex128)
+    physical[np.ravel_multi_index(digits, layout.physical_dims)] = 1.0
+    return StateVector(layout, lift_physical(physical, layout))
 
 
 @dataclass(frozen=True)
@@ -436,6 +425,24 @@ def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
         shape[i] = d
         work = work * uniform.reshape(shape)
     return work.reshape((-1,) + batch_shape)
+
+
+def marginals(state: StateVector, supports) -> list[np.ndarray]:
+    """Marginals of |psi|^2, one per list of physical registers in `supports`.
+
+    |psi|^2 is formed and its ancilla axes summed out once; each marginal
+    has one axis per register of its list, in increasing register order.
+    """
+    layout = state.layout
+    n_phys = len(layout.physical_dims)
+    probs = np.abs(state.amplitudes.reshape(tuple(layout.dims))) ** 2
+    probs = probs.sum(axis=tuple(range(n_phys, probs.ndim)))
+    out = []
+    for support in supports:
+        if not all(0 <= t < n_phys for t in support):
+            raise ValueError(f"support {list(support)} is not a list of physical registers")
+        out.append(probs.sum(axis=tuple(i for i in range(n_phys) if i not in support)))
+    return out
 
 
 def born_sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarray:

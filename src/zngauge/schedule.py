@@ -31,6 +31,7 @@ from .lattice import (
     gate_group,
     is_even,
     lift_physical,
+    marginals,
     project_ancillas,
     run_gates,
 )
@@ -42,18 +43,21 @@ GRADIENT_TOL = 1e-12
 # one fused gate group stores at most _FUSE_MAX_DIM**2 block entries
 _FUSE_MAX_DIM = 72
 
-# stage windows of the four link-class blocks in choreography mode
-EV_WINDOW = (2, 6)
-EH_WINDOW = (7, 10)
-OV_WINDOW = (19, 23)
-OH_WINDOW = (24, 27)
+# choreography stages of each link class's gauge-matter block (create, phase,
+# tunnel, flip and class phase sweep, undo); its window is first to last
+GM_STAGES = {
+    "ev": (2, 3, 4, 5, 6),
+    "eh": (7, 8, 9, 10, 10),
+    "ov": (19, 20, 21, 22, 23),
+    "oh": (24, 25, 26, 27, 27),
+}
 
 # gauge-invariant cut points: each window composes blocks that share
 # kept stators, so it is the finest partition restoring the ancillas
 CHOREOGRAPHY_SUBSTEPS = (
-    ("gm_ev", 1, 6),
-    ("gm_eh_plaq_even_gm_ov", 7, 23),
-    ("gm_oh_plaq_odd", 24, 34),
+    ("gm_ev", 1, GM_STAGES["ev"][-1]),
+    ("gm_eh_plaq_even_gm_ov", GM_STAGES["eh"][0], GM_STAGES["ov"][-1]),
+    ("gm_oh_plaq_odd", GM_STAGES["oh"][0], 34),
     ("mass_electric", 35, 35),
 )
 
@@ -75,16 +79,11 @@ class Schedule:
 
     substeps are half-open op-index ranges (label, start, stop) whose
     maps individually restore the ancillas and commute with the Gauss
-    law; theta/theta_prime record the free phase angles compiled in.
+    law.
     """
 
     layout: RegisterLayout
     ops: tuple[GateOp, ...]
-    mode: str
-    order: int
-    tau: float
-    theta: float
-    theta_prime: float
     substeps: tuple[tuple[str, int, int], ...]
     # fused gate plans by op range, built on first execution
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -111,18 +110,16 @@ def _ui_ops(layout: RegisterLayout, link: Link, anc: int, stage: int,
 
 def _gm_block(layout: RegisterLayout, link: Link, anc: int, coeff: float,
               theta: float, theta_prime: float,
-              s_create: int, s_fa: int, s_tun: int, s_flip: int, s_undo: int,
               create: str = "full", undo: str = "full") -> dict[int, list[GateOp]]:
-    """One gauge-matter block: P-stator, phased tunneling, teardown.
+    """One gauge-matter block at its class's GM_STAGES: P-stator, tunneling, teardown.
 
     create "convert" reuses a Q-stator already sitting on the link
     (emits only the ancilla basis change); undo "keep" leaves it there.
     """
     geom = layout.geometry
-    origin = link[0]
-    head = geom.link_head(link)
-    f_o = layout.fermion_index(origin)
-    f_h = layout.fermion_index(head)
+    s_create, s_fa, s_tun, s_flip, s_undo = GM_STAGES[geom.link_class(link)]
+    f_o = layout.fermion_index(link[0])
+    f_h = layout.fermion_index(geom.link_head(link))
     out: dict[int, list[GateOp]] = {s: [] for s in (s_create, s_fa, s_tun, s_flip, s_undo)}
 
     if create == "full":
@@ -148,7 +145,7 @@ def _gm_block(layout: RegisterLayout, link: Link, anc: int, coeff: float,
 
 
 def _even_plaquette_ops(layout: RegisterLayout, p: Vertex, anc: int,
-                        drive_coeff: float, keep_u2: bool) -> dict[int, list[GateOp]]:
+                        drive_coeff: float) -> dict[int, list[GateOp]]:
     """Stages 11-17: assemble around the kept horizontal stator, drive, teardown."""
     (l1, _), (l2, _), (l3, _), (l4, _) = layout.geometry.plaquette_links(p)
     out: dict[int, list[GateOp]] = {s: [] for s in range(11, 18)}
@@ -159,8 +156,6 @@ def _even_plaquette_ops(layout: RegisterLayout, p: Vertex, anc: int,
     out[15] += _ui_ops(layout, l1, anc, 15, dagger=True)     # undo kept U1
     out[16] += _ui_ops(layout, l3, anc, 16)
     out[17] += _ui_ops(layout, l4, anc, 17)
-    if not keep_u2:
-        out[17] += _ui_ops(layout, l2, anc, 17, dagger=True)
     return out
 
 
@@ -182,20 +177,35 @@ def _odd_plaquette_ops(layout: RegisterLayout, q: Vertex, anc: int,
     return out
 
 
-_ORPHAN_STAGES = {
-    "ev": (2, 3, 4, 5, 6),
-    "eh": (7, 8, 9, 10, 10),
-    "ov": (19, 20, 21, 22, 23),
-    "oh": (24, 25, 26, 27, 27),
-}
-
-_SWEEP_STAGE = {"ev": 5, "eh": 10, "ov": 22, "oh": 27}
-_CLASS_WINDOW = {"ev": EV_WINDOW, "eh": EH_WINDOW, "ov": OV_WINDOW, "oh": OH_WINDOW}
-
-
 def _merge(into: dict[int, list[GateOp]], part: dict[int, list[GateOp]]):
     for s, ops in part.items():
         into.setdefault(s, []).extend(ops)
+
+
+def _add_mass_electric(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout,
+                       cpl: Couplings, h: float, electric_time: float | None,
+                       s_mass: int, s_electric: int):
+    """Staggered mass phases, then the electric gates unless electric_time is None."""
+    geom = layout.geometry
+    for v in geom.vertices:
+        sign = 1.0 if is_even(v) else -1.0
+        stage_ops[s_mass].append(GateOp("mass_phase", (layout.fermion_index(v),),
+                                        (h * cpl.mass * sign,), s_mass))
+    if electric_time is None:
+        return
+    e_name = "electric_group" if cpl.h_e_variant == "group" else "electric_z3"
+    for l in geom.links:
+        stage_ops[s_electric].append(GateOp(e_name, (layout.link_index(l),),
+                                            (electric_time * cpl.lambda_e,), s_electric))
+
+
+def _flatten(stage_ops: dict[int, list[GateOp]], tail: dict[int, list[GateOp]]) -> list[GateOp]:
+    """Stages in order, an idle marker for each empty one, each followed by its tail."""
+    ops: list[GateOp] = []
+    for s in sorted(stage_ops):
+        ops.extend(stage_ops[s] or [GateOp("idle", (), (), s)])
+        ops.extend(tail.get(s, ()))
+    return ops
 
 
 def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
@@ -209,8 +219,8 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
         raise ValueError("choreography mode needs at least one ancilla register")
 
     stage_ops: dict[int, list[GateOp]] = {s: [] for s in range(1, 36)}
-    # busy[window] = ancillas serving suite blocks there; orphan blocks avoid them
-    busy: dict[tuple[int, int], set[int]] = {w: set() for w in _CLASS_WINDOW.values()}
+    # busy[class] = ancillas serving suite blocks in its window; orphan blocks avoid them
+    busy: dict[str, set[int]] = {cls: set() for cls in GM_STAGES}
     covered: set[Link] = set()
     plaq_set = set(geom.plaquettes)
     handled_odd: set[Vertex] = set()
@@ -222,36 +232,18 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
         if not is_even(p):
             continue
         anc = layout.ancilla_of_plaquette[p]
-        l_ev = (p, 2)
-        l_eh = (p, 1)
         q = (p[0] + 1, p[1])
-        l_ov = (q, 2)
-        l_oh = (q, 1)
-
-        _merge(stage_ops, _gm_block(layout, l_ev, anc, gm_coeff, theta, theta_prime,
-                                    2, 3, 4, 5, 6))
-        covered.add(l_ev)
-        busy[EV_WINDOW].add(anc)
-
-        _merge(stage_ops, _gm_block(layout, l_eh, anc, gm_coeff, theta, theta_prime,
-                                    7, 8, 9, 10, 10, undo="keep"))
-        covered.add(l_eh)
-        busy[EH_WINDOW].add(anc)
-
         keep_oh = q in plaq_set and layout.ancilla_of_plaquette.get(q) == anc
-        _merge(stage_ops, _even_plaquette_ops(layout, p, anc, b_coeff, keep_u2=True))
 
-        _merge(stage_ops, _gm_block(layout, l_ov, anc, gm_coeff, theta, theta_prime,
-                                    19, 20, 21, 22, 23, create="convert"))
-        covered.add(l_ov)
-        busy[OV_WINDOW].add(anc)
-
-        if geom.link_exists(l_oh):
-            undo = "keep" if keep_oh else "full"
-            _merge(stage_ops, _gm_block(layout, l_oh, anc, gm_coeff, theta, theta_prime,
-                                        24, 25, 26, 27, 27, undo=undo))
-            covered.add(l_oh)
-            busy[OH_WINDOW].add(anc)
+        # the suite's blocks at their GM_STAGES, around the stage 11-17 sandwich
+        suite = [((p, 2), {}), ((p, 1), {"undo": "keep"}), ((q, 2), {"create": "convert"})]
+        if geom.link_exists((q, 1)):
+            suite.append(((q, 1), {"undo": "keep" if keep_oh else "full"}))
+        for link, ends in suite:
+            _merge(stage_ops, _gm_block(layout, link, anc, gm_coeff, theta, theta_prime, **ends))
+            covered.add(link)
+            busy[geom.link_class(link)].add(anc)
+        _merge(stage_ops, _even_plaquette_ops(layout, p, anc, b_coeff))
 
         if keep_oh:
             _merge(stage_ops, _odd_plaquette_ops(layout, q, anc, b_coeff, u1_kept=True))
@@ -265,59 +257,36 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
 
     # self-contained blocks for links no suite reached, one distinct free
     # ancilla each; overflow beyond the free pool runs as sequential whole
-    # blocks at a point where every ancilla is provably restored (after
-    # stage 6 for the even classes, after stage 23 for the odd ones).
+    # blocks at a point where every ancilla is provably restored (the end
+    # of the ev window for the even classes, of the ov window for the odd).
     # Same-class blocks commute, so either placement is exact.
-    overflow_slot = {"ev": 6, "eh": 6, "ov": 23, "oh": 23}
     window_tail: dict[int, list[GateOp]] = {}
-    for cls in ("ev", "eh", "ov", "oh"):
+    for cls in GM_STAGES:
         links = [l for l in geom.links if geom.link_class(l) == cls and l not in covered]
-        if not links:
-            continue
-        free = [a for a in anc_regs if a not in busy[_CLASS_WINDOW[cls]]]
-        stages = _ORPHAN_STAGES[cls]
+        free = [a for a in anc_regs if a not in busy[cls]]
+        slot = GM_STAGES["ev" if cls[0] == "e" else "ov"][-1]
         for i, link in enumerate(links):
             if i < len(free):
-                _merge(stage_ops, _gm_block(layout, link, free[i], gm_coeff,
-                                            theta, theta_prime, *stages))
+                _merge(stage_ops, _gm_block(layout, link, free[i], gm_coeff, theta, theta_prime))
             else:
-                anc = anc_regs[i % len(anc_regs)]
-                block = _gm_block(layout, link, anc, gm_coeff, theta, theta_prime, *stages)
-                flat = [op for s in sorted(block) for op in block[s]]
-                window_tail.setdefault(overflow_slot[cls], []).extend(flat)
+                block = _gm_block(layout, link, anc_regs[i % len(anc_regs)], gm_coeff,
+                                  theta, theta_prime)
+                window_tail.setdefault(slot, []).extend(_flatten(block, {}))
 
     # phase sweeps completing each parity class (sites that are not the
     # origin of any link of the class still need both angles once)
-    for cls in ("ev", "eh", "ov", "oh"):
-        parity_even = cls in ("ev", "eh")
+    for cls, stages in GM_STAGES.items():
         origins = {l[0] for l in geom.links if geom.link_class(l) == cls}
-        stage = _SWEEP_STAGE[cls]
+        stage = stages[3]
         for v in geom.vertices:
-            if is_even(v) != parity_even or v in origins:
+            if is_even(v) != (cls[0] == "e") or v in origins:
                 continue
             f = layout.fermion_index(v)
             stage_ops[stage].append(GateOp("occupation_phase", (f,), (theta,), stage))
             stage_ops[stage].append(GateOp("occupation_phase", (f,), (theta_prime,), stage))
 
-    # mass then electric close the step
-    for v in geom.vertices:
-        sign = 1.0 if is_even(v) else -1.0
-        stage_ops[35].append(GateOp("mass_phase", (layout.fermion_index(v),),
-                                    (h * cpl.mass * sign,), 35))
-    if electric_time is not None:
-        e_name = "electric_group" if cpl.h_e_variant == "group" else "electric_z3"
-        for l in geom.links:
-            stage_ops[35].append(GateOp(e_name, (layout.link_index(l),),
-                                        (electric_time * cpl.lambda_e,), 35))
-
-    ops: list[GateOp] = []
-    for s in range(1, 36):
-        if stage_ops[s]:
-            ops.extend(stage_ops[s])
-        else:
-            ops.append(GateOp("idle", (), (), s))
-        ops.extend(window_tail.get(s, ()))
-    return ops
+    _add_mass_electric(stage_ops, layout, cpl, h, electric_time, 35, 35)
+    return _flatten(stage_ops, window_tail)
 
 
 def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
@@ -349,20 +318,8 @@ def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
         stage_ops[s] += [replace(op, stage=s)
                          for op in plaquette_stator_sequence(layout, p, "inverse")]
 
-    for v in geom.vertices:
-        sign = 1.0 if is_even(v) else -1.0
-        stage_ops[7].append(GateOp("mass_phase", (layout.fermion_index(v),),
-                                   (h * cpl.mass * sign,), 7))
-    if electric_time is not None:
-        e_name = "electric_group" if cpl.h_e_variant == "group" else "electric_z3"
-        for l in geom.links:
-            stage_ops[8].append(GateOp(e_name, (layout.link_index(l),),
-                                       (electric_time * cpl.lambda_e,), 8))
-
-    ops: list[GateOp] = []
-    for s in range(1, 9):
-        ops.extend(stage_ops[s] or [GateOp("idle", (), (), s)])
-    return ops
+    _add_mass_electric(stage_ops, layout, cpl, h, electric_time, 7, 8)
+    return _flatten(stage_ops, {})
 
 
 def _substep_ranges(ops: list[GateOp], windows) -> tuple[tuple[str, int, int], ...]:
@@ -418,8 +375,7 @@ def compile_step(layout: RegisterLayout, couplings: Couplings, tau: float,
             mir_sub.append(("mirror_" + label, n_fwd + n_mir - b, n_fwd + n_mir - a))
         substeps = fwd_sub + tuple(mir_sub)
 
-    return Schedule(layout, tuple(ops), mode, order, float(tau),
-                    float(theta), float(theta_prime), substeps)
+    return Schedule(layout, tuple(ops), substeps)
 
 
 # ---------------------------------------------------------------------------
@@ -555,16 +511,11 @@ def schedule_physical_map(schedule: Schedule,
 
 
 def total_fermion_number(state: StateVector) -> float:
-    """Expectation of the summed fermion occupation."""
+    """Expectation of the summed fermion occupation, from the fermions' marginal."""
     layout = state.layout
-    probs = np.abs(state.amplitudes.reshape(tuple(layout.dims))) ** 2
-    total = 0.0
-    for i, r in enumerate(layout.registers):
-        if r.kind != "fermion":
-            continue
-        axes = tuple(j for j in range(len(layout.registers)) if j != i)
-        total += float(probs.sum(axis=axes)[1])
-    return total
+    fermions = [i for i, r in enumerate(layout.registers) if r.kind == "fermion"]
+    (marginal,) = marginals(state, [fermions])
+    return float(np.dot(marginal.reshape(-1), _fermion_count(layout, fermions)))
 
 
 # ---------------------------------------------------------------------------

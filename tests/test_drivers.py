@@ -69,6 +69,27 @@ def test_flux_probabilities_on_singlet(layout22):
     np.testing.assert_allclose(dist1, [0.0, 1.0, 0.0], atol=1e-12)
 
 
+def test_flux_probabilities_match_a_loop_over_basis_states():
+    # on 3x2 there are two plaquettes, and neither lists its links in
+    # register order
+    layout = build_layout(LatticeGeometry(3, 2), 3, "shared")
+    rng = np.random.default_rng(23)
+    amp = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    st = StateVector(layout, amp / np.linalg.norm(amp))
+    geom = layout.geometry
+    edges = {p: [(layout.link_index(l), o) for l, o in geom.plaquette_links(p)]
+             for p in geom.plaquettes}
+    expected = {p: np.zeros(3) for p in geom.plaquettes}
+    probs = (np.abs(st.amplitudes) ** 2).tolist()
+    for prob, digits in zip(probs, np.ndindex(*layout.dims)):
+        for p, e in edges.items():
+            expected[p][sum(o * digits[t] for t, o in e) % 3] += prob
+    got = flux_sector_probabilities(st)
+    assert got.keys() == expected.keys()
+    for p in geom.plaquettes:
+        np.testing.assert_allclose(got[p], expected[p], rtol=0, atol=1e-12)
+
+
 def test_measure_configuration_dirac_sea(layout22):
     st = build_global_singlet(layout22)
     sample = measure_configuration(st, seed=5, shots=40)

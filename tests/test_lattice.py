@@ -14,6 +14,7 @@ from zngauge.lattice import (
     gate_group,
     is_even,
     lift_physical,
+    marginals,
     project_ancillas,
     run_gates,
 )
@@ -190,6 +191,14 @@ def test_singlet_and_restoration_match_the_register_sweeps(shape):
     want = _restored_norm_by_relift(st.amplitudes, lay)
     assert abs(ancilla_restoration_fidelity(st) - want) < 1e-14
     assert abs(ancilla_restoration_fidelity(singlet) - 1.0) < 1e-14
+
+
+def test_marginals_reject_an_ancilla_register(layout22):
+    st = build_global_singlet(layout22)
+    (fermions,) = marginals(st, [[3, 0]])
+    assert fermions.shape == (2, 2) and fermions[0, 0] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="physical registers"):
+        marginals(st, [[0, layout22.ancilla_indices()[0]]])
 
 
 def test_apply_gate_matches_brute_force_embedding():

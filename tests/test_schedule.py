@@ -263,6 +263,18 @@ def test_total_fermion_number_on_singlet(layout22):
     assert total_fermion_number(build_global_singlet(layout22)) == pytest.approx(2.0)
 
 
+def test_total_fermion_number_matches_a_loop_over_basis_states():
+    layout = build_layout(LatticeGeometry(3, 2), 3, "shared")
+    rng = np.random.default_rng(29)
+    amp = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
+    st = StateVector(layout, amp / np.linalg.norm(amp))
+    fermions = [i for i, r in enumerate(layout.registers) if r.kind == "fermion"]
+    probs = (np.abs(st.amplitudes) ** 2).tolist()
+    expected = sum(prob * sum(digits[i] for i in fermions)
+                   for prob, digits in zip(probs, np.ndindex(*layout.dims)))
+    assert total_fermion_number(st) == pytest.approx(expected, rel=0, abs=1e-12)
+
+
 def test_execute_rejects_layout_mismatch(sched_cho1):
     other = build_layout(LatticeGeometry(3, 2), 3)
     with pytest.raises(ValueError):
@@ -375,7 +387,7 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
 @pytest.mark.parametrize("targets, message", [("99", "out of range"), ("4,4", "repeated")])
 def test_fused_executor_rejects_bad_targets(layout22, targets, message):
     op = GateOp("dft_link", tuple(int(t) for t in targets.split(",")), (), 1)
-    sched = Schedule(layout22, (op,), "direct", 1, TAU, 0.0, 0.0, ())
+    sched = Schedule(layout22, (op,), ())
     with pytest.raises(ValueError, match=message):
         execute_array(sched, build_global_singlet(layout22).amplitudes)
 
