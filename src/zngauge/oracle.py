@@ -57,18 +57,19 @@ class ExactEvolver:
         """Exact ||step^m - exp(-iHt)||_2, one block of H at a time.
 
         Each stack of blocks is cut out of step, raised to the power m and
-        compared with the same cut of the propagator.  Raises RuntimeError
-        when step couples two blocks (Frobenius norm outside them above
-        BLOCK_LEAK_TOL), since the blockwise power would then be wrong.
+        compared with exp(-iHt) on those blocks, built from their eigenpairs.
+        Raises RuntimeError when step couples two blocks (Frobenius norm
+        outside them above BLOCK_LEAK_TOL), since the blockwise power would
+        then be wrong.
         """
         step = np.asarray(step, dtype=np.complex128)
-        target = self.propagator(t)
-        inside = np.zeros(target.shape, dtype=bool)
+        inside = np.zeros(step.shape, dtype=bool)
         dist = 0.0
-        for idx, _, _ in self.blocks:
+        for idx, w, v in self.blocks:
             cut = (idx[:, :, None], idx[:, None, :])
             inside[cut] = True
-            diff = np.linalg.matrix_power(step[cut], m) - target[cut]
+            target = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            diff = np.linalg.matrix_power(step[cut], m) - target
             dist = max(dist, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
         leak = float(np.linalg.norm(step[~inside]))
         if leak > BLOCK_LEAK_TOL:

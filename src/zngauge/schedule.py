@@ -561,28 +561,18 @@ def solve_vertex_potential(layout: RegisterLayout,
                            field: dict[Link, float]) -> dict[Vertex, float]:
     """Vertex potential with field(x,k) = Lambda(x+k) - Lambda(x), rooted at 0.
 
-    Solved over a spanning tree, then every link is checked; a
-    non-gradient field (nonzero curl somewhere) raises.
+    Summed up column 0, then rightward along each row; every link is then
+    checked, so a non-gradient field (nonzero curl somewhere) raises.
     """
     geom = layout.geometry
-    lam: dict[Vertex, float] = {(0, 0): 0.0}
-    frontier = [(0, 0)]
-    while frontier:
-        v = frontier.pop()
-        x1, x2 = v
-        for k, nb in ((1, (x1 + 1, x2)), (2, (x1, x2 + 1)), (1, (x1 - 1, x2)), (2, (x1, x2 - 1))):
-            if nb in lam:
-                continue
-            if nb == (x1 + 1, x2) or nb == (x1, x2 + 1):
-                link = (v, k)
-                if geom.link_exists(link):
-                    lam[nb] = lam[v] + field[link]
-                    frontier.append(nb)
-            else:
-                link = (nb, k)
-                if geom.link_exists(link):
-                    lam[nb] = lam[v] - field[link]
-                    frontier.append(nb)
+    lam: dict[Vertex, float] = {}
+    for x1, x2 in geom.vertices:    # row-major: the left or lower neighbour comes first
+        if x1:
+            lam[(x1, x2)] = lam[(x1 - 1, x2)] + field[((x1 - 1, x2), 1)]
+        elif x2:
+            lam[(0, x2)] = lam[(0, x2 - 1)] + field[((0, x2 - 1), 2)]
+        else:
+            lam[(0, 0)] = 0.0
     for link in geom.links:
         head = geom.link_head(link)
         resid = abs(lam[head] - lam[link[0]] - field[link])

@@ -56,137 +56,84 @@ class GateOp:
         return GateOp(base, self.targets, self.params, self.stage)
 
 
-GATE_VOCABULARY = (
-    "idle",
-    "dft_link",
-    "dft_anc",
-    "flip_anc",
-    "collision_zz",
-    "q_entangler",
-    "fermion_anc_phase",
-    "occupation_phase",
-    "mass_phase",
-    "tunnel",
-    "uw",
-    "anc_drive",
-    "electric_group",
-    "electric_z3",
-)
-
-
 def flip_matrix(N: int) -> np.ndarray:
     """Label reversal m -> N-m mod N (self-inverse, fixes m=0)."""
-    f = np.zeros((N, N), dtype=np.complex128)
-    for m in range(N):
-        f[(N - m) % N, m] = 1.0
-    return f
+    return np.eye(N, dtype=np.complex128)[-np.arange(N) % N]
 
 
-def _tunnel_coupling_matrix(n_regs: int) -> np.ndarray:
+def _tunnel_coupling(d: tuple[int, ...]) -> np.ndarray:
     """psi!(first) psi(last) + h.c. with the ordering string in between."""
     a = SIGMA_PLUS
-    for _ in range(n_regs - 2):
+    for _ in range(len(d) - 2):
         a = np.kron(a, PARITY_Z)
     a = np.kron(a, SIGMA_MINUS)
     return a + a.conj().T
 
 
+def _q_entangler(d: tuple[int, ...]) -> np.ndarray:
+    """sum_m Q^m (x) |m~><m~| on (link, ancilla)."""
+    N = d[0]
+    u = np.zeros((N, N, N, N), dtype=np.complex128)
+    for m in range(N):
+        u[:, m, :, m] = np.linalg.matrix_power(make_link_algebra(N).q, m)
+    return u.reshape(N * N, N * N)
+
+
+def _clock_sum(d: tuple[int, ...]) -> np.ndarray:
+    q = make_link_algebra(d[0]).q
+    return q + q.conj().T
+
+
+def _electric(variant: str):
+    return lambda d: electric_single_link(make_link_algebra(d[0]), variant)
+
+
+# name -> (rule on the target dims d, parameter count, kind, builder taking d): a "unitary" builder
+# returns the gate, a "generator" one the Hermitian G of exp(-i c G), c its parameter or 1 if none.
+_GATES = {
+    "idle": (lambda d: d == (), 0, "unitary", lambda d: np.eye(1, dtype=np.complex128)),
+    **dict.fromkeys(("dft_link", "dft_anc"), (
+        lambda d: len(d) == 1, 0, "unitary", lambda d: make_link_algebra(d[0]).dft.copy())),
+    "flip_anc": (lambda d: len(d) == 1, 0, "unitary", lambda d: flip_matrix(d[0])),
+    "collision_zz": (lambda d: d == (3, 3), 1, "generator",   # spin-1 pair, F_z F~_z
+                     lambda d: np.kron(make_link_algebra(3).f_z, make_link_algebra(3).f_z)),
+    "q_entangler": (lambda d: len(d) == 2 and d[0] == d[1], 0, "unitary", _q_entangler),
+    # (fermion, ancilla); i log P is Hermitian since log P is anti-Hermitian
+    "fermion_anc_phase": (lambda d: len(d) == 2 and d[0] == 2, 0, "generator",
+                          lambda d: np.kron(NUMBER_OP, 1j * make_link_algebra(d[1]).log_p)),
+    **dict.fromkeys(("occupation_phase", "mass_phase"), (
+        lambda d: d == (2,), 1, "generator", lambda d: NUMBER_OP)),
+    "tunnel": (lambda d: len(d) >= 2 and set(d) == {2}, 1, "generator", _tunnel_coupling),
+    "uw": (lambda d: len(d) == 2 and d[1] == 2, 0, "generator",   # (link, fermion)
+           lambda d: np.kron(1j * make_link_algebra(d[0]).log_q, NUMBER_OP)),
+    "anc_drive": (lambda d: len(d) == 1, 1, "generator", _clock_sum),
+    "electric_group": (lambda d: len(d) == 1, 1, "generator", _electric("group")),
+    "electric_z3": (lambda d: len(d) == 1, 1, "generator", _electric("z3-implementation")),
+}
+GATE_VOCABULARY = tuple(_GATES)
+
+
 def gate_matrix(name: str, params: tuple[float, ...], target_dims: tuple[int, ...]) -> np.ndarray:
     """Dense unitary for a vocabulary gate.
 
-    Any name with a ``_dag`` suffix resolves to the adjoint of its base.
-    Dimensions come from the targeted registers; N is read off them.
-
-    Parameters
-    ----------
-    name : vocabulary entry, optionally suffixed ``_dag``.
-    params : gate parameters (angles or accumulated coefficients).
-    target_dims : dimension of each targeted register, in target order.
+    name is a vocabulary entry; a ``_dag`` suffix gives the adjoint of
+    its base.  params are the gate's angles or accumulated coefficients,
+    target_dims the dimension of each targeted register in target order
+    (N is read off them).  Raises ValueError on an unknown name, on dims
+    the gate cannot target, or on a parameter count other than its own.
     """
     if name.endswith("_dag"):
         return gate_matrix(name[:-4], params, target_dims).conj().T
-
-    def need(n_targets: int):
-        if len(target_dims) != n_targets:
-            raise ValueError(f"gate {name!r} expects {n_targets} targets, got dims {target_dims}")
-
-    if name == "idle":
-        if target_dims:
-            raise ValueError("idle takes no targets")
-        return np.eye(1, dtype=np.complex128)
-
-    if name in ("dft_link", "dft_anc"):
-        need(1)
-        return make_link_algebra(target_dims[0]).dft.copy()
-
-    if name == "flip_anc":
-        need(1)
-        return flip_matrix(target_dims[0])
-
-    if name == "collision_zz":
-        need(2)
-        if target_dims != (3, 3):
-            raise ValueError(f"collision_zz is a spin-1 pair gate, got dims {target_dims}")
-        (alpha,) = params
-        fz = make_link_algebra(3).f_z
-        return expm_from_hermitian(np.kron(fz, fz), -1j * alpha)
-
-    if name == "q_entangler":
-        need(2)
-        N = target_dims[0]
-        if target_dims != (N, N):
-            raise ValueError(f"q_entangler needs equal link/ancilla dims, got {target_dims}")
-        alg = make_link_algebra(N)
-        u = np.zeros((N * N, N * N), dtype=np.complex128)
-        for m in range(N):
-            proj = np.zeros((N, N))
-            proj[m, m] = 1.0
-            u += np.kron(np.linalg.matrix_power(alg.q, m), proj)
-        return u
-
-    if name == "fermion_anc_phase":
-        need(2)
-        if target_dims[0] != 2:
-            raise ValueError(f"fermion_anc_phase targets (fermion, ancilla), got dims {target_dims}")
-        log_p = make_link_algebra(target_dims[1]).log_p
-        gen = np.kron(NUMBER_OP, 1j * log_p)     # Hermitian since log P is anti-Hermitian
-        return expm_from_hermitian(gen, -1j)
-
-    if name in ("occupation_phase", "mass_phase"):
-        need(1)
-        if target_dims[0] != 2:
-            raise ValueError(f"{name} acts on a fermion register, got dim {target_dims[0]}")
-        (c,) = params
-        return np.diag([1.0, np.exp(-1j * c)]).astype(np.complex128)
-
-    if name == "tunnel":
-        if len(target_dims) < 2 or any(d != 2 for d in target_dims):
-            raise ValueError(f"tunnel targets a chain of fermion registers, got dims {target_dims}")
-        (c,) = params
-        return expm_from_hermitian(_tunnel_coupling_matrix(len(target_dims)), -1j * c)
-
-    if name == "uw":
-        need(2)
-        if target_dims[1] != 2:
-            raise ValueError(f"uw targets (link, fermion), got dims {target_dims}")
-        alg = make_link_algebra(target_dims[0])
-        gen = np.kron(1j * alg.log_q, NUMBER_OP)
-        return expm_from_hermitian(gen, -1j)
-
-    if name == "anc_drive":
-        need(1)
-        alg = make_link_algebra(target_dims[0])
-        (c,) = params
-        return expm_from_hermitian(alg.q + alg.q.conj().T, -1j * c)
-
-    if name in ("electric_group", "electric_z3"):
-        need(1)
-        alg = make_link_algebra(target_dims[0])
-        (c,) = params
-        variant = "group" if name == "electric_group" else "z3-implementation"
-        return expm_from_hermitian(electric_single_link(alg, variant), -1j * c)
-
-    raise ValueError(f"unknown gate name {name!r}")
+    if name not in _GATES:
+        raise ValueError(f"unknown gate name {name!r}")
+    fits, n_params, kind, build = _GATES[name]
+    if not fits(target_dims):
+        raise ValueError(f"gate {name!r} cannot target registers of dims {target_dims}")
+    if len(params) != n_params:
+        raise ValueError(f"gate {name!r} takes {n_params} parameters, got {len(params)}")
+    if kind == "unitary":
+        return build(target_dims)
+    return expm_from_hermitian(build(target_dims), -1j * (params[0] if params else 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +254,7 @@ def n0_pair_phase(beta: float) -> np.ndarray:
 
 def ancilla_fourier(N: int = 3) -> np.ndarray:
     """V~_D, converting Q-type stators to P-type (S_P = V~_D S_Q)."""
-    return make_link_algebra(N).dft.copy()
+    return gate_matrix("dft_anc", (), (N,))
 
 
 # ---------------------------------------------------------------------------

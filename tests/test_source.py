@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+import numpy as np
+
 import zngauge
 
 SRC = Path(zngauge.__file__).resolve().parent
@@ -56,6 +58,21 @@ def test_every_definition_is_used():
             if name not in used:
                 dead.append(f"{path.name}:{node.lineno} {name}")
     assert not dead, dead
+
+
+def test_no_method_shares_a_name_with_numpy():
+    """The used-definition check reads attributes by name alone, so a method named like an
+    attribute of np.ndarray, numpy or numpy.linalg (`copy`, `norm`) would count as used
+    through every numpy read of that name; no method or property may carry such a name."""
+    numpy_names = set(dir(np.ndarray)) | set(dir(np)) | set(dir(np.linalg))
+    shared = [f"{path.name}:{node.lineno} {cls.name}.{node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for cls in ast.parse(path.read_text(encoding="utf-8")).body
+              if isinstance(cls, ast.ClassDef)
+              for node in cls.body
+              if isinstance(node, ast.FunctionDef) and node.name in numpy_names
+              and not (node.name.startswith("__") and node.name.endswith("__"))]
+    assert not shared, shared
 
 
 def test_every_test_import_is_used():

@@ -41,25 +41,28 @@ def test_gateop_dagger_bookkeeping():
     assert GateOp("idle", ()).dagger().name == "idle"
 
 
+# (params, target dims) of one valid call per vocabulary gate
+GATE_CASES = {
+    "idle": ((), ()),
+    "dft_link": ((), (3,)),
+    "dft_anc": ((), (3,)),
+    "flip_anc": ((), (3,)),
+    "collision_zz": ((0.7,), (3, 3)),
+    "q_entangler": ((), (3, 3)),
+    "fermion_anc_phase": ((), (2, 3)),
+    "occupation_phase": ((0.3,), (2,)),
+    "mass_phase": ((1.1,), (2,)),
+    "tunnel": ((0.45,), (2, 2)),
+    "uw": ((), (3, 2)),
+    "anc_drive": ((0.2,), (3,)),
+    "electric_group": ((0.15,), (3,)),
+    "electric_z3": ((0.15,), (3,)),
+}
+
+
 def test_vocabulary_gates_are_unitary():
-    cases = {
-        "idle": ((), ()),
-        "dft_link": ((), (3,)),
-        "dft_anc": ((), (3,)),
-        "flip_anc": ((), (3,)),
-        "collision_zz": ((0.7,), (3, 3)),
-        "q_entangler": ((), (3, 3)),
-        "fermion_anc_phase": ((), (2, 3)),
-        "occupation_phase": ((0.3,), (2,)),
-        "mass_phase": ((1.1,), (2,)),
-        "tunnel": ((0.45,), (2, 2)),
-        "uw": ((), (3, 2)),
-        "anc_drive": ((0.2,), (3,)),
-        "electric_group": ((0.15,), (3,)),
-        "electric_z3": ((0.15,), (3,)),
-    }
-    assert set(cases) == set(GATE_VOCABULARY)
-    for name, (params, dims) in cases.items():
+    assert set(GATE_CASES) == set(GATE_VOCABULARY)
+    for name, (params, dims) in GATE_CASES.items():
         u = gate_matrix(name, params, dims)
         d = u.shape[0]
         assert np.abs(u @ u.conj().T - np.eye(d)).max() < 1e-12, name
@@ -78,6 +81,17 @@ def test_gate_matrix_error_paths():
         gate_matrix("occupation_phase", (0.1,), (3,))
     with pytest.raises(ValueError):
         gate_matrix("warp", (), (3,))
+
+
+def test_gate_matrix_checks_the_parameter_count():
+    """Each gate takes exactly its own number of parameters: n - 1 and n + 1 both raise."""
+    for name, (params, dims) in GATE_CASES.items():
+        for wrong in (params[1:], params + (0.4,)):
+            if wrong == params:     # a gate with no parameter has no n - 1
+                continue
+            for gate in (name, name + "_dag"):
+                with pytest.raises(ValueError, match="parameters"):
+                    gate_matrix(gate, wrong, dims)
 
 
 def test_q_entangler_controls_on_ancilla_label(alg3):
