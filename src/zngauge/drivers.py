@@ -10,6 +10,7 @@ operator matrices that do not fit.
 from __future__ import annotations
 
 import json
+import math
 import os
 import resource
 from dataclasses import dataclass
@@ -18,8 +19,8 @@ from importlib import metadata
 import numpy as np
 
 from .lattice import (RegisterLayout, StateVector, ancilla_restoration_fidelity,
-                      born_sample, build_global_singlet, lift_physical, marginals,
-                      project_ancillas)
+                      born_sample, build_global_singlet, is_even, lift_physical,
+                      marginals, project_ancillas)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
@@ -125,8 +126,12 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
 
 
 def quench_footprint_bytes(layout: RegisterLayout) -> int:
-    """Bytes a quench holds: the state and the executor's two buffers."""
-    return 3 * 16 * layout.total_dim
+    """Bytes a quench holds: the state and the executor's zero output, plus
+    the gathered singlet sector and the gate kernel's two buffers of it."""
+    v = len(layout.geometry.vertices)
+    filled = sum(not is_even(x) for x in layout.geometry.vertices)
+    sector = layout.total_dim // 2 ** v * math.comb(v, filled)
+    return 16 * (2 * layout.total_dim + 3 * sector)
 
 
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
@@ -142,9 +147,9 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     need = quench_footprint_bytes(layout)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB "
-                          f"(state and two executor buffers of {layout.total_dim} "
-                          f"amplitudes), over the {have / 2**30:.3g} GiB of physical memory")
+        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (state and output "
+                          f"of {layout.total_dim} amplitudes, three sector buffers), "
+                          f"over the {have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,

@@ -398,32 +398,33 @@ def ancilla_restoration_fidelity(state: StateVector) -> float:
 def project_ancillas(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Contract each ancilla axis with <in~|, returning physical amplitudes.
 
-    Accepts a trailing batch axis; the result has the ancilla axes removed.
+    The ancillas are the trailing registers, so the leading size is free:
+    a full state gives physical amplitudes, a sector's amplitudes give that
+    sector's.  Accepts a trailing batch axis; the result has the ancilla
+    axes removed.
     """
-    batch_shape = amplitudes.shape[1:] if amplitudes.ndim > 1 else ()
-    work = amplitudes.reshape(tuple(layout.dims) + batch_shape)
-    for i in sorted(layout.ancilla_indices(), reverse=True):
-        d = layout.registers[i].dim
-        uniform = np.ones(d) / np.sqrt(d)
-        work = np.tensordot(work, uniform, axes=([i], [0]))
+    batch_shape = amplitudes.shape[1:]
+    anc = [layout.registers[i].dim for i in layout.ancilla_indices()]
+    work = amplitudes.reshape((-1, *anc) + batch_shape)
+    for i in range(len(anc), 0, -1):
+        d = anc[i - 1]
+        work = np.tensordot(work, np.ones(d) / np.sqrt(d), axes=([i], [0]))
     return work.reshape((-1,) + batch_shape)
 
 
 def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Tensor physical amplitudes with |in~> on every ancilla register.
 
-    Inverse of project_ancillas on the restored-ancilla subspace.  Accepts a
-    trailing batch axis.
+    Inverse of project_ancillas on the restored-ancilla subspace; like it,
+    takes any leading size and a trailing batch axis.
     """
-    batch_shape = amplitudes.shape[1:] if amplitudes.ndim > 1 else ()
-    work = amplitudes.reshape(layout.physical_dims + batch_shape)
-    for i in layout.ancilla_indices():
-        d = layout.registers[i].dim
-        uniform = np.ones(d) / np.sqrt(d)
-        work = np.expand_dims(work, i)
-        shape = [1] * (work.ndim)
+    batch_shape = amplitudes.shape[1:]
+    anc = [layout.registers[i].dim for i in layout.ancilla_indices()]
+    work = amplitudes.reshape((-1,) + batch_shape)
+    for i, d in enumerate(anc, start=1):
+        shape = [1] * (work.ndim + 1)
         shape[i] = d
-        work = work * uniform.reshape(shape)
+        work = np.expand_dims(work, i) * (np.ones(d) / np.sqrt(d)).reshape(shape)
     return work.reshape((-1,) + batch_shape)
 
 

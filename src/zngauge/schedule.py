@@ -85,7 +85,7 @@ class Schedule:
     layout: RegisterLayout
     ops: tuple[GateOp, ...]
     substeps: tuple[tuple[str, int, int], ...]
-    # fused gate plans by op range, built on first execution
+    # fused gate plans by (op range start, stop, fermion number), built on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gate_count(self, include_idle: bool = False) -> int:
@@ -389,8 +389,74 @@ def _cached_gate(name: str, params: tuple[float, ...], dims: tuple[int, ...]) ->
     return m
 
 
-def _fuse(dims: tuple[int, ...], ops) -> tuple[GateGroup, ...]:
-    """Greedy fusion of consecutive non-idle ops into checked gate groups.
+@lru_cache(maxsize=None)
+def _occupation(n_modes: int) -> np.ndarray:
+    """Occupied modes of each mixed-radix index of `n_modes` fermion digits."""
+    count = np.indices((2,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+    count.setflags(write=False)
+    return count
+
+
+@lru_cache(maxsize=None)
+def _sector(n_modes: int, n: int) -> np.ndarray:
+    """Indices of the fermion configurations with n occupied modes, ascending:
+    the basis of the collapsed fermion register of sector n."""
+    index = np.flatnonzero(_occupation(n_modes) == n)
+    index.setflags(write=False)
+    return index
+
+
+def _sector_dims(layout: RegisterLayout, n: int) -> tuple[int, ...]:
+    """Register dims of sector n: the collapsed fermion register, then the
+    link and ancilla registers."""
+    v = len(layout.geometry.vertices)
+    return (math.comb(v, n),) + tuple(int(d) for d in layout.dims[v:])
+
+
+def _member(layout: RegisterLayout, op: GateOp, n: int) -> GateGroup:
+    """One op's gate as a checked group on the registers of sector n.
+
+    Its fermion targets become the collapsed register: entry (s, s') is
+    the gate's entry between the targets' digits of configurations s and
+    s', and zero unless s and s' agree on every other mode.  Any nonzero
+    gate entry between different occupation counts of its fermion digits
+    raises ValueError, so the embedding is the exact restriction.
+    """
+    dims = tuple(int(d) for d in layout.dims)
+    targets = check_targets(dims, op.targets)
+    tdims = [dims[t] for t in targets]
+    gate = _cached_gate(op.name, op.params, tuple(tdims))
+    v = len(layout.geometry.vertices)
+    sdims = _sector_dims(layout, n)
+    fermions = [i for i, t in enumerate(targets) if t < v]
+    rest = [i for i, t in enumerate(targets) if t >= v]
+    moved = tuple(targets[i] - v + 1 for i in rest)
+    if not fermions:
+        return gate_group(sdims, gate, moved)
+    k, d_gate = len(targets), math.prod(tdims)
+    if gate.shape != (d_gate, d_gate):
+        raise ValueError(f"gate shape {gate.shape} != target dim {d_gate}")
+    d_f = 2 ** len(fermions)
+    d_r = d_gate // d_f
+    order = fermions + rest
+    tensor = gate.reshape(tdims + tdims).transpose(order + [k + i for i in order])
+    tensor = tensor.reshape(d_f, d_r, d_f, d_r)
+    count = _occupation(len(fermions))
+    if tensor.transpose(0, 2, 1, 3)[count[:, None] != count[None, :]].any():
+        raise ValueError(f"{op.name} on registers {targets} changes the fermion number")
+    # a: the targets' fermion digits of each sector state; b: its other modes
+    index = _sector(v, n)
+    bits = [v - 1 - targets[i] for i in fermions]
+    a = sum(((index >> bit) & 1) << (len(bits) - 1 - j) for j, bit in enumerate(bits))
+    b = index & ~sum(1 << bit for bit in bits)
+    embedded = tensor[a[:, None], :, a[None, :], :] * (b[:, None] == b[None, :])[:, :, None, None]
+    d_n = index.size * d_r
+    return gate_group(sdims, embedded.transpose(0, 2, 1, 3).reshape(d_n, d_n), (0,) + moved)
+
+
+def _fuse(layout: RegisterLayout, ops, n: int) -> tuple[GateGroup, ...]:
+    """Greedy fusion of consecutive non-idle ops into checked gate groups on
+    the registers of fermion-number sector n.
 
     A register is a control of a group when every member that targets it
     leaves it a control, so the product keeps their exact zeros.  A group
@@ -398,14 +464,13 @@ def _fuse(dims: tuple[int, ...], ops) -> tuple[GateGroup, ...]:
     _FUSE_MAX_DIM**2; its blocks come from pushing the members through
     the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
     """
+    dims = _sector_dims(layout, n)
     groups: list[GateGroup] = []
     members: list[GateGroup] = []
     for op in ops:
         if op.name == "idle":
             continue
-        targets = check_targets(dims, op.targets)
-        gate = _cached_gate(op.name, op.params, tuple(dims[t] for t in targets))
-        member = gate_group(dims, gate, targets)
+        member = _member(layout, op, n)
         controls, active = _split(members + [member])
         c_dim = math.prod(dims[t] for t in controls)
         a_dim = math.prod(dims[t] for t in active)
@@ -449,33 +514,41 @@ def execute(schedule: Schedule, state: StateVector) -> StateVector:
     return StateVector(state.layout, amp)
 
 
-def _plan(schedule: Schedule, op_range: tuple[int, int] | None) -> tuple[GateGroup, ...]:
-    """The schedule's fused gate plan for an op range, built on first use and kept."""
+def _run_sector(schedule: Schedule, op_range: tuple[int, int] | None, n: int,
+                amplitudes: np.ndarray) -> np.ndarray:
+    """Run the fused plan of sector n on amplitudes over that sector's registers.
+
+    The plan is built on first use and kept on the schedule, keyed by
+    (lo, hi, n).
+    """
     lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
-    key = slice(lo, hi).indices(len(schedule.ops))[:2]
+    key = slice(lo, hi).indices(len(schedule.ops))[:2] + (n,)
     plan = schedule._plans.get(key)
     if plan is None:
-        dims = tuple(int(d) for d in schedule.layout.dims)
-        plan = schedule._plans[key] = _fuse(dims, schedule.ops[lo:hi])
-    return plan
+        plan = schedule._plans[key] = _fuse(schedule.layout, schedule.ops[key[0]:key[1]], n)
+    return run_gates(plan, _sector_dims(schedule.layout, n), amplitudes)
 
 
 def execute_array(schedule: Schedule, amplitudes: np.ndarray,
                   op_range: tuple[int, int] | None = None) -> np.ndarray:
     """Raw-array executor; trailing axes beyond the register dims are batch.
 
-    Runs the schedule's fused gate plan for the op range, built on the
-    first call and kept on the schedule.
+    Every gate keeps the fermion number, and the fermions are the leading
+    registers, so the amplitudes split by the fermion configuration into
+    sectors of fixed occupation.  Each sector with an amplitude that is
+    not exactly zero is gathered, run through its own fused plan and
+    scattered into a zero output; the input is never written.
     """
-    dims = tuple(int(d) for d in schedule.layout.dims)
-    return run_gates(_plan(schedule, op_range), dims, amplitudes)
-
-
-def _fermion_count(layout: RegisterLayout, registers) -> np.ndarray:
-    """Occupied fermions among `registers`, per mixed-radix index of their digits."""
-    digits = np.indices(tuple(layout.registers[t].dim for t in registers))
-    fermions = [i for i, t in enumerate(registers) if layout.registers[t].kind == "fermion"]
-    return digits[fermions].sum(axis=0).ravel()
+    v = len(schedule.layout.geometry.vertices)
+    rows = amplitudes.reshape(2 ** v, -1)
+    populated = rows.any(axis=1)
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    for n in range(v + 1):
+        index = _sector(v, n)
+        if populated[index].any():
+            sector = rows[index].reshape((-1,) + amplitudes.shape[1:])
+            out[index] = _run_sector(schedule, op_range, n, sector).reshape(index.size, -1)
+    return out.reshape(amplitudes.shape)
 
 
 def schedule_physical_map(schedule: Schedule,
@@ -485,28 +558,19 @@ def schedule_physical_map(schedule: Schedule,
     Ancillas enter in |in~> and are projected back onto |in~> at the end,
     which is exact whenever the slice restores them (every substep does).
 
-    The fused plan is checked first: every block entry whose active
-    digits change the fermion count must be an exact zero, else
-    ValueError.  The map then has exact zeros between fermion-number
-    sectors, so one batch column (slot k) carries the k-th basis state
-    of every sector at once, and each column of the map is read from
-    its slot on its own sector's rows: 486 columns instead of 1296 on 2x2.
+    Every gate keeps the fermion number, so the map is block diagonal in
+    the sectors: each sector's block is its own plan run on that sector's
+    identity columns, and every entry between two sectors is an exact zero.
     """
     layout = schedule.layout
-    for g in _plan(schedule, op_range):
-        if g.blocks.shape[1] > 1:
-            n = _fermion_count(layout, g.active)
-            if g.blocks[:, n[:, None] != n[None, :]].any():
-                raise ValueError(f"gate group on registers {g.targets} "
-                                 "changes the fermion number")
-    number = _fermion_count(layout, range(len(layout.physical_dims)))
-    same = number[:, None] == number[None, :]
-    slot = np.tril(same, -1).sum(axis=1)      # earlier states of the same sector
-    packed = np.zeros((number.size, slot.max() + 1), dtype=np.complex128)
-    packed[np.arange(number.size), slot] = 1
-    out = execute_array(schedule, lift_physical(packed, layout), op_range)
-    full = project_ancillas(out, layout)[:, slot]
-    full[~same] = 0
+    v = len(layout.geometry.vertices)
+    links = layout.physical_dim // 2 ** v
+    full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
+    for n in range(v + 1):
+        rows = (_sector(v, n)[:, None] * links + np.arange(links)).ravel()
+        columns = lift_physical(np.eye(rows.size, dtype=np.complex128), layout)
+        block = project_ancillas(_run_sector(schedule, op_range, n, columns), layout)
+        full[np.ix_(rows, rows)] = block
     return full
 
 
@@ -515,7 +579,7 @@ def total_fermion_number(state: StateVector) -> float:
     layout = state.layout
     fermions = [i for i, r in enumerate(layout.registers) if r.kind == "fermion"]
     (marginal,) = marginals(state, [fermions])
-    return float(np.dot(marginal.reshape(-1), _fermion_count(layout, fermions)))
+    return float(np.dot(marginal.reshape(-1), _occupation(len(fermions))))
 
 
 # ---------------------------------------------------------------------------

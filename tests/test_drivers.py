@@ -283,10 +283,11 @@ def test_manifest_records_the_environment(tmp_path):
 
 
 def test_quench_footprint_is_the_state_and_two_buffers(layout22):
-    assert quench_footprint_bytes(layout22) == 3 * 16 * 3888
+    # state and output of 3888 amplitudes, three buffers of the n = 2 sector (6 * 243)
+    assert quench_footprint_bytes(layout22) == 16 * (2 * 3888 + 3 * 1458) == 194_400
     big = SimulationConfig(Lx=3, Ly=3)
     need = quench_footprint_bytes(big.build_geometry())
-    assert need == 3 * 16 * 22_039_921_152
+    assert need == 16 * (2 * 22_039_921_152 + 3 * 22_039_921_152 // 512 * 126)
     if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         pytest.skip("this host could hold a 3x3 quench")
     with pytest.raises(MemoryError, match="physical memory"):

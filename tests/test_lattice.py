@@ -250,6 +250,11 @@ def test_project_lift_roundtrip(layout22):
     lifted = lift_physical(batch, layout22)
     assert lifted.shape == (layout22.total_dim, 5)
     np.testing.assert_allclose(project_ancillas(lifted, layout22), batch, atol=1e-14)
+    # any leading size, since the ancillas are the trailing registers
+    sector = lift_physical(batch[:486], layout22)
+    assert sector.shape == (3 * 486, 5)
+    assert np.array_equal(sector, lifted[:3 * 486])
+    np.testing.assert_allclose(project_ancillas(sector, layout22), batch[:486], atol=1e-14)
 
 
 def test_fidelity_up_to_phase(layout22):

@@ -1,5 +1,7 @@
 """Step compiler, executor, substep windows, and the phase gauging story."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from zngauge.lattice import (
     build_global_singlet,
     build_layout,
     gate_group,
+    is_even,
     lift_physical,
     project_ancillas,
     run_gates,
@@ -369,6 +372,35 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     assert np.abs(got[:, cols] - want).max() <= 1e-12
 
 
+@pytest.mark.parametrize("geo, n_link, policy, mode", [
+    ((1, 3), 2, "per_plaquette", "direct"), ((1, 3), 4, "per_plaquette", "direct"),
+    ((1, 3), 5, "per_plaquette", "direct"), ((3, 1), 2, "per_plaquette", "direct"),
+    ((3, 1), 4, "per_plaquette", "direct"), ((3, 1), 5, "per_plaquette", "direct"),
+    ((3, 2), 3, "shared", "choreography")])
+@pytest.mark.parametrize("span", ["one", "two", "all"])
+def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
+    """A state on one, two or every fermion-number sector: the sector plans
+    match the gate-by-gate loop, the empty sectors stay exact zeros, and a
+    one-sector state builds one plan."""
+    lay = build_layout(LatticeGeometry(*geo), n_link, ancilla_policy=policy)
+    v = len(lay.geometry.vertices)
+    sectors = {"one": [v // 2], "two": [0, v // 2 + 1], "all": list(range(v + 1))}[span]
+    inside = np.isin(np.indices((2,) * v).reshape(v, -1).sum(axis=0), sectors)
+    rng = np.random.default_rng(31)
+    shape = (2 ** v, lay.total_dim >> v)
+    amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amp[~inside] = 0
+    amp = (amp / np.linalg.norm(amp)).ravel()
+    saved = amp.copy()
+    sched = compile_step(lay, Couplings(), 0.4, mode, 1)
+    got = execute_array(sched, amp)
+    assert np.array_equal(amp, saved)
+    assert np.abs(got - reference_execute(sched, amp)).max() <= 1e-12
+    outside = got.reshape(shape)[~inside]
+    assert np.array_equal(outside, np.zeros_like(outside))
+    assert len(sched._plans) == len(sectors)
+
+
 @pytest.mark.parametrize("bad, message", [(1.5 * np.eye(2), "unitary"),
                                           (np.eye(3), "shape")])
 def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, message):
@@ -436,11 +468,13 @@ def test_blocks_rebuild_every_gate_and_group(sched_cho1, sched_dir1):
             gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
             g = gate_group(dims, gate, op.targets)
             assert np.array_equal(dense_of(g), in_order(gate, dims, op.targets, g.targets))
-        for g in schedule_module._fuse(dims, sched.ops):
-            again = gate_group(dims, dense_of(g), g.targets)
-            assert set(g.controls) <= set(again.controls)
-            assert np.array_equal(dense_of(again), in_order(dense_of(g), dims, g.targets,
-                                                            again.targets))
+        for n in range(5):
+            sdims = schedule_module._sector_dims(sched.layout, n)
+            for g in schedule_module._fuse(sched.layout, sched.ops, n):
+                again = gate_group(sdims, dense_of(g), g.targets)
+                assert set(g.controls) <= set(again.controls)
+                assert np.array_equal(dense_of(again), in_order(dense_of(g), sdims, g.targets,
+                                                                again.targets))
 
 
 def test_a_tiny_entry_is_not_an_exact_zero(layout22):
@@ -470,15 +504,19 @@ def test_a_non_unitary_block_raises(layout22):
         block_group(dims, (f,), (link,), blocks[:, :2, :2])
 
 
-@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 240), ((3, 2), 20, 460)])
+@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 297), ((3, 2), 22, 525)])
 def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
-    """Controls cut the multiply-adds per amplitude (sum of A over groups with
-    A > 1) from 450 to 225 on 2x2 and from 1032 to 453 on 3x2."""
+    """The plan of the singlet's sector (n = 2 on 2x2, 3 on 3x2): its
+    multiply-adds per step (sum of A over groups with A > 1, times the
+    sector's amplitudes) are at most half those of the full-space plan,
+    225 * 3888 on 2x2 and 453 * 1259712 on 3x2."""
     lay = build_layout(LatticeGeometry(*geo), 3)
-    dims = tuple(int(d) for d in lay.dims)
-    plan = schedule_module._fuse(dims, compile_step(lay, cpl1, TAU, "choreography", 1).ops)
+    n = sum(not is_even(x) for x in lay.geometry.vertices)
+    plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, "choreography", 1).ops, n)
     active = sum(g.blocks.shape[1] for g in plan if g.blocks.shape[1] > 1)
     assert len(plan) <= max_groups and active <= max_active
+    full_space = {(2, 2): 225, (3, 2): 453}[geo] * lay.total_dim
+    assert active * math.prod(schedule_module._sector_dims(lay, n)) <= full_space / 2
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
 
 
@@ -508,18 +546,23 @@ def check_packed_map(sched, op_range=None):
 @pytest.mark.parametrize("mode", ["choreography", "direct"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order):
-    """2x2 has fermion-number sectors of 81, 324, 486, 324 and 81 states,
-    so the map runs one 486-column batch instead of 1296 columns."""
+    """2x2 has fermion-number sectors of C(4, n) * 81 physical states, so the
+    map runs one batch per sector, its identity columns lifted onto the
+    sector's 3 ancilla states: 81, 324, 486, 324 and 81 columns."""
     sched = compile_step(layout22, cpl1, 0.4, mode, order, theta=0.3, theta_prime=0.7)
-    shapes = []
+    batches = []
+    run_sector = schedule_module._run_sector
 
-    def spy(schedule, amplitudes, op_range=None):
-        shapes.append(amplitudes.shape)
-        return execute_array(schedule, amplitudes, op_range)
+    def spy(schedule, op_range, n, amplitudes):
+        batches.append((n, amplitudes.shape))
+        return run_sector(schedule, op_range, n, amplitudes)
 
-    monkeypatch.setattr(schedule_module, "execute_array", spy)
+    monkeypatch.setattr(schedule_module, "_run_sector", spy)
+    schedule_physical_map(sched)
+    monkeypatch.undo()
+    d = [math.comb(4, n) * 81 for n in range(5)]
+    assert batches == [(n, (3 * d_n, d_n)) for n, d_n in enumerate(d)]
     check_packed_map(sched)
-    assert shapes == [(layout22.total_dim, 486)]
     if order == 1:
         _, lo, hi = sched.substeps[1]
         check_packed_map(sched, (lo, hi))
@@ -543,5 +586,5 @@ def test_packed_map_rejects_a_gate_that_moves_a_fermion(layout22, cpl1, monkeypa
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
     with pytest.raises(ValueError, match="fermion number"):
         schedule_physical_map(sched)
-    out = execute_array(sched, build_global_singlet(layout22).amplitudes)
-    assert np.linalg.norm(out) == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(ValueError, match="fermion number"):
+        execute_array(sched, build_global_singlet(layout22).amplitudes)
