@@ -24,7 +24,6 @@ import numpy as np
 from .lattice import (
     Link,
     RegisterLayout,
-    StateVector,
     Vertex,
     is_even,
     marginals,
@@ -308,16 +307,15 @@ def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[list[int], 
     return support, diag
 
 
-def gauss_expectations(state: StateVector) -> dict[Vertex, complex]:
+def gauss_expectations(layout: RegisterLayout, probs: np.ndarray) -> dict[Vertex, complex]:
     """<Theta(x)> for every vertex (1 on gauge-invariant states).
 
-    Each expectation is the marginal of |psi|^2 on the vertex's support
-    dotted with the diagonal of Theta(x) there.
+    Each expectation is the marginal of a `physical_probabilities` tensor
+    on the vertex's support dotted with the diagonal of Theta(x) there.
     """
-    layout = state.layout
     verts = layout.geometry.vertices
     forms = [_gauss_diagonal(layout, v) for v in verts]
-    probs = marginals(state, [support for support, _ in forms])
+    probs = marginals(probs, [support for support, _ in forms])
     return {v: complex(np.dot(p.reshape(-1), diag))
             for v, (_, diag), p in zip(verts, forms, probs)}
 

@@ -18,15 +18,16 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (RegisterLayout, StateVector, ancilla_restoration_fidelity,
-                      born_sample, build_global_singlet, is_even, lift_physical,
-                      marginals, project_ancillas)
+from .lattice import (RegisterLayout, StateVector, _sector_dims,
+                      ancilla_restoration_fidelity, born_sample, check_normalized,
+                      lift_physical, marginals, physical_probabilities, project_ancillas,
+                      scatter_sector, singlet_fermion_number, singlet_sector)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
                       selective_collision, stator_entangler, z3_collision_entangler)
-from .schedule import (compile_step, dump_schedule, execute, execute_array,
+from .schedule import (compile_step, dump_schedule, execute, execute_sector,
                        gauge_away_phases, schedule_physical_map, solve_vertex_potential,
                        spurious_phase_field, total_fermion_number)
 from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
@@ -72,18 +73,18 @@ def write_manifest(out_dir: str, config: SimulationConfig, extra: dict | None = 
         f.write("\n")
 
 
-def flux_sector_probabilities(state: StateVector) -> dict:
+def flux_sector_probabilities(layout: RegisterLayout, probs: np.ndarray) -> dict:
     """Per plaquette, the distribution of the oriented flux label.
 
     The label is the orientation-weighted sum of the four link clock
-    digits mod N; probabilities marginalize everything else out.
+    digits mod N; its probabilities are marginals of a
+    `physical_probabilities` tensor.
     """
-    layout = state.layout
     geom = layout.geometry
     # each plaquette's (link register, orientation) pairs in register order
     edges = [sorted((layout.link_index(l), o) for l, o in geom.plaquette_links(p))
              for p in geom.plaquettes]
-    joints = marginals(state, [[t for t, _ in e] for e in edges])
+    joints = marginals(probs, [[t for t, _ in e] for e in edges])
     out = {}
     for p, e, joint in zip(geom.plaquettes, edges, joints):
         orients = np.array([o for _, o in e])
@@ -126,18 +127,18 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
 
 
 def quench_footprint_bytes(layout: RegisterLayout) -> int:
-    """Bytes a quench holds: the state and the executor's zero output, plus
-    the gathered singlet sector and the gate kernel's two buffers of it."""
-    v = len(layout.geometry.vertices)
-    filled = sum(not is_even(x) for x in layout.geometry.vertices)
-    sector = layout.total_dim // 2 ** v * math.comb(v, filled)
-    return 16 * (2 * layout.total_dim + 3 * sector)
+    """Bytes a quench holds: the singlet's fermion-number sector and the gate
+    kernel's two buffers of it."""
+    return 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
 
 
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
                shots: int = 0) -> list[dict]:
     """Sudden-interaction evolution from the global singlet.
 
+    Every gate keeps the fermion number, so the state stays in the
+    singlet's sector and is evolved and measured there; with `shots` its
+    final amplitudes are scattered into the full space once, for sampling.
     Records per step: Gauss-law expectation per vertex, total fermion
     number, flux-sector probabilities, ancilla restoration, and (when
     the physical dimension allows dense diagonalization) fidelity
@@ -147,34 +148,37 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     need = quench_footprint_bytes(layout)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (state and output "
-                          f"of {layout.total_dim} amplitudes, three sector buffers), "
-                          f"over the {have / 2**30:.3g} GiB of physical memory")
+        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers of the "
+                          f"singlet's fermion-number sector), over the {have / 2**30:.3g} GiB "
+                          f"of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
                          theta=config.theta, theta_prime=config.theta_prime)
-    state = build_global_singlet(layout)
+    n = singlet_fermion_number(layout)
+    amplitudes = singlet_sector(layout)
     evolver = None
     if layout.physical_dim <= ORACLE_DIM_LIMIT:
         evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
-        phys0 = project_ancillas(state.amplitudes, layout)
+        phys0 = scatter_sector(layout, n, project_ancillas(amplitudes, layout))
     rows = []
     for k in range(1, config.n_steps + 1):
-        state = execute(sched, state)
-        gauss = gauss_expectations(state)
-        flux = flux_sector_probabilities(state)
+        amplitudes = execute_sector(sched, n, amplitudes)
+        check_normalized(amplitudes)
+        probs = physical_probabilities(layout, amplitudes, n)
+        gauss = gauss_expectations(layout, probs)
+        flux = flux_sector_probabilities(layout, probs)
         row = {
             "step": k,
             "time": k * tau,
             "gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
-            "fermion_number": total_fermion_number(state),
-            "ancilla_restoration": ancilla_restoration_fidelity(state),
+            "fermion_number": total_fermion_number(layout, probs),
+            "ancilla_restoration": ancilla_restoration_fidelity(amplitudes, layout),
         }
         if evolver is not None:
             target = evolver.evolve(k * tau, phys0)
             row["fidelity_exact"] = float(abs(np.vdot(
-                target, project_ancillas(state.amplitudes, layout))))
+                target, scatter_sector(layout, n, project_ancillas(amplitudes, layout)))))
         for v in layout.geometry.vertices:
             row[f"gauss_re_{v[0]}_{v[1]}"] = float(gauss[v].real)
         for p, dist in flux.items():
@@ -188,6 +192,7 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
         write_csv(os.path.join(out_dir, "trajectory.csv"), header,
                   [[r[h] for h in header] for r in rows])
         if shots > 0:
+            state = StateVector(layout, scatter_sector(layout, n, amplitudes))
             sample = measure_configuration(state, config.seed, shots)
             head = ([f"occ_{v[0]}_{v[1]}" for v in sample["vertices"]]
                     + [f"link_{l[0][0]}_{l[0][1]}_{l[1]}" for l in sample["links"]])
@@ -281,9 +286,11 @@ def run_verification_suite(config: SimulationConfig,
     worst_g = 0.0
     worst_anc = 0.0
     for _, a, b in sched.substeps:
-        st = StateVector(lay, execute_array(sched, st.amplitudes, (a, b)))
-        worst_g = max(worst_g, max(abs(v - 1.0) for v in gauss_expectations(st).values()))
-        worst_anc = max(worst_anc, 1.0 - ancilla_restoration_fidelity(st))
+        st = execute(sched, st, (a, b))
+        probs = physical_probabilities(lay, st.amplitudes)
+        gauss = gauss_expectations(lay, probs)
+        worst_g = max(worst_g, max(abs(v - 1.0) for v in gauss.values()))
+        worst_anc = max(worst_anc, 1.0 - ancilla_restoration_fidelity(st.amplitudes, lay))
     checks.append(_check("per_substep_gauge_invariance", worst_g, 1e-10))
     checks.append(_check("ancilla_restoration", worst_anc, 1e-10))
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -226,23 +227,86 @@ class StateVector:
             raise ValueError(
                 f"amplitude length {self.amplitudes.shape} != layout dim {self.layout.total_dim}"
             )
-        n = np.linalg.norm(self.amplitudes)
-        if abs(n - 1.0) > NORM_TOL:
-            raise ValueError(f"state not normalized: ||psi|| = {n}")
+        check_normalized(self.amplitudes)
 
 
-def build_global_singlet(layout: RegisterLayout) -> StateVector:
-    """Reference gauge-invariant state.
+def check_normalized(amplitudes: np.ndarray):
+    """ValueError unless the amplitudes have norm 1 to NORM_TOL."""
+    n = np.linalg.norm(amplitudes)
+    if abs(n - 1.0) > NORM_TOL:
+        raise ValueError(f"state not normalized: ||psi|| = {n}")
+
+
+# ---------------------------------------------------------------------------
+# fermion-number sectors
+#
+# Every gate keeps the fermion number and the fermions are the leading
+# registers, so amplitudes of fixed fermion number n live on the registers
+# of sector n: one collapsed fermion register over the C(V, n)
+# configurations with n occupied modes, then the link and ancilla registers.
+
+
+@lru_cache(maxsize=None)
+def _occupation(n_modes: int) -> np.ndarray:
+    """Occupied modes of each mixed-radix index of `n_modes` fermion digits."""
+    count = np.indices((2,) * n_modes).reshape(n_modes, -1).sum(axis=0)
+    count.setflags(write=False)
+    return count
+
+
+@lru_cache(maxsize=None)
+def _sector(n_modes: int, n: int) -> np.ndarray:
+    """Indices of the fermion configurations with n occupied modes, ascending:
+    the basis of the collapsed fermion register of sector n."""
+    index = np.flatnonzero(_occupation(n_modes) == n)
+    index.setflags(write=False)
+    return index
+
+
+def _sector_dims(layout: RegisterLayout, n: int) -> tuple[int, ...]:
+    """Register dims of sector n: the collapsed fermion register, then the
+    link and ancilla registers."""
+    v = len(layout.geometry.vertices)
+    return (math.comb(v, n),) + tuple(int(d) for d in layout.dims[v:])
+
+
+def scatter_sector(layout: RegisterLayout, n: int, values: np.ndarray) -> np.ndarray:
+    """Values on the configurations of sector n, zero-padded to all 2^V.
+
+    Whatever follows the fermions is kept as it is: every other register
+    for amplitudes, the links alone for physical amplitudes or
+    probabilities.
+    """
+    v = len(layout.geometry.vertices)
+    index = _sector(v, n)
+    rows = values.reshape(index.size, -1)
+    out = np.zeros((2 ** v, rows.shape[1]), dtype=values.dtype)
+    out[index] = rows
+    return out.reshape(-1)
+
+
+def singlet_fermion_number(layout: RegisterLayout) -> int:
+    """Fermion number of the global singlet, whose fermions fill every odd vertex."""
+    return sum(not is_even(x) for x in layout.geometry.vertices)
+
+
+def singlet_sector(layout: RegisterLayout) -> np.ndarray:
+    """Reference gauge-invariant state, on the registers of its sector
+    singlet_fermion_number(layout).
 
     Links in |m=0>, fermions filling every odd vertex (the staggered
     vacuum), each ancilla in the uniform superposition |in~>, which is the
     eigenvalue-1 eigenvector of the ancilla shift operator.
+    `scatter_sector` gives its amplitudes on the full space.
     """
-    digits = [int(r.kind == "fermion" and not is_even(r.site))
-              for r in layout.registers if r.kind != "ancilla"]
-    physical = np.zeros(layout.physical_dim, dtype=np.complex128)
-    physical[np.ravel_multi_index(digits, layout.physical_dims)] = 1.0
-    return StateVector(layout, lift_physical(physical, layout))
+    vertices = layout.geometry.vertices
+    v = len(vertices)
+    filled = sum(1 << (v - 1 - i) for i, x in enumerate(vertices) if not is_even(x))
+    index = _sector(v, singlet_fermion_number(layout))
+    links = layout.physical_dim // 2 ** v
+    physical = np.zeros(index.size * links, dtype=np.complex128)
+    physical[np.searchsorted(index, filled) * links] = 1.0
+    return lift_physical(physical, layout)
 
 
 @dataclass(frozen=True)
@@ -385,14 +449,15 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
     return cur.reshape(amplitudes.shape)
 
 
-def ancilla_restoration_fidelity(state: StateVector) -> float:
-    """Overlap of the state with the |in~>-restored-ancilla subspace.
+def ancilla_restoration_fidelity(amplitudes: np.ndarray, layout: RegisterLayout) -> float:
+    """Overlap of a state with the |in~>-restored-ancilla subspace.
 
     Returns the norm of the state projected onto the uniform superposition
     on every ancilla register (1 means the ancillas are exactly back), which
-    equals the norm of its physical amplitudes after `project_ancillas`.
+    equals the norm of its physical amplitudes after `project_ancillas`; a
+    full state and its sector's amplitudes give the same value.
     """
-    return float(np.linalg.norm(project_ancillas(state.amplitudes, state.layout)))
+    return float(np.linalg.norm(project_ancillas(amplitudes, layout)))
 
 
 def project_ancillas(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
@@ -428,21 +493,30 @@ def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     return work.reshape((-1,) + batch_shape)
 
 
-def marginals(state: StateVector, supports) -> list[np.ndarray]:
-    """Marginals of |psi|^2, one per list of physical registers in `supports`.
+def physical_probabilities(layout: RegisterLayout, amplitudes: np.ndarray,
+                           n: int | None = None) -> np.ndarray:
+    """|psi|^2 with the ancillas summed out, one axis per physical register.
 
-    |psi|^2 is formed and its ancilla axes summed out once; each marginal
-    has one axis per register of its list, in increasing register order.
+    `amplitudes` run over every register, or, given n, over the registers
+    of sector n; that sector's rows are then scattered into the 2^V
+    fermion configurations.
     """
-    layout = state.layout
-    n_phys = len(layout.physical_dims)
-    probs = np.abs(state.amplitudes.reshape(tuple(layout.dims))) ** 2
-    probs = probs.sum(axis=tuple(range(n_phys, probs.ndim)))
+    anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
+    probs = (np.abs(amplitudes) ** 2).reshape(-1, anc).sum(axis=1)
+    if n is not None:
+        probs = scatter_sector(layout, n, probs)
+    return probs.reshape(layout.physical_dims)
+
+
+def marginals(probs: np.ndarray, supports) -> list[np.ndarray]:
+    """Marginals of a `physical_probabilities` tensor, one per list of physical
+    registers in `supports`; each has one axis per register of its list, in
+    increasing register order."""
     out = []
     for support in supports:
-        if not all(0 <= t < n_phys for t in support):
+        if not all(0 <= t < probs.ndim for t in support):
             raise ValueError(f"support {list(support)} is not a list of physical registers")
-        out.append(probs.sum(axis=tuple(i for i in range(n_phys) if i not in support)))
+        out.append(probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in support)))
     return out
 
 

@@ -26,6 +26,9 @@ from .lattice import (
     StateVector,
     Vertex,
     GateGroup,
+    _occupation,
+    _sector,
+    _sector_dims,
     block_group,
     check_targets,
     gate_group,
@@ -389,32 +392,12 @@ def _cached_gate(name: str, params: tuple[float, ...], dims: tuple[int, ...]) ->
     return m
 
 
-@lru_cache(maxsize=None)
-def _occupation(n_modes: int) -> np.ndarray:
-    """Occupied modes of each mixed-radix index of `n_modes` fermion digits."""
-    count = np.indices((2,) * n_modes).reshape(n_modes, -1).sum(axis=0)
-    count.setflags(write=False)
-    return count
-
-
-@lru_cache(maxsize=None)
-def _sector(n_modes: int, n: int) -> np.ndarray:
-    """Indices of the fermion configurations with n occupied modes, ascending:
-    the basis of the collapsed fermion register of sector n."""
-    index = np.flatnonzero(_occupation(n_modes) == n)
-    index.setflags(write=False)
-    return index
-
-
-def _sector_dims(layout: RegisterLayout, n: int) -> tuple[int, ...]:
-    """Register dims of sector n: the collapsed fermion register, then the
-    link and ancilla registers."""
-    v = len(layout.geometry.vertices)
-    return (math.comb(v, n),) + tuple(int(d) for d in layout.dims[v:])
-
-
-def _member(layout: RegisterLayout, op: GateOp, n: int) -> GateGroup:
-    """One op's gate as a checked group on the registers of sector n.
+# members kept per process, shared by every sector, schedule and call that
+# reads them; one 2x2 map reads a few hundred
+@lru_cache(maxsize=512)
+def _member(layout: RegisterLayout, name: str, params: tuple[float, ...],
+            targets: tuple[int, ...], n: int) -> GateGroup:
+    """The checked group of one gate on the registers of sector n.
 
     Its fermion targets become the collapsed register: entry (s, s') is
     the gate's entry between the targets' digits of configurations s and
@@ -423,9 +406,9 @@ def _member(layout: RegisterLayout, op: GateOp, n: int) -> GateGroup:
     raises ValueError, so the embedding is the exact restriction.
     """
     dims = tuple(int(d) for d in layout.dims)
-    targets = check_targets(dims, op.targets)
+    targets = check_targets(dims, targets)
     tdims = [dims[t] for t in targets]
-    gate = _cached_gate(op.name, op.params, tuple(tdims))
+    gate = _cached_gate(name, params, tuple(tdims))
     v = len(layout.geometry.vertices)
     sdims = _sector_dims(layout, n)
     fermions = [i for i, t in enumerate(targets) if t < v]
@@ -443,7 +426,7 @@ def _member(layout: RegisterLayout, op: GateOp, n: int) -> GateGroup:
     tensor = tensor.reshape(d_f, d_r, d_f, d_r)
     count = _occupation(len(fermions))
     if tensor.transpose(0, 2, 1, 3)[count[:, None] != count[None, :]].any():
-        raise ValueError(f"{op.name} on registers {targets} changes the fermion number")
+        raise ValueError(f"{name} on registers {targets} changes the fermion number")
     # a: the targets' fermion digits of each sector state; b: its other modes
     index = _sector(v, n)
     bits = [v - 1 - targets[i] for i in fermions]
@@ -465,12 +448,15 @@ def _fuse(layout: RegisterLayout, ops, n: int) -> tuple[GateGroup, ...]:
     the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
     """
     dims = _sector_dims(layout, n)
+    v = len(layout.geometry.vertices)
     groups: list[GateGroup] = []
     members: list[GateGroup] = []
     for op in ops:
         if op.name == "idle":
             continue
-        member = _member(layout, op, n)
+        # a gate with no fermion target is the same in every sector: built in sector 0
+        fermionic = any(t < v for t in op.targets)
+        member = _member(layout, op.name, op.params, op.targets, n if fermionic else 0)
         controls, active = _split(members + [member])
         c_dim = math.prod(dims[t] for t in controls)
         a_dim = math.prod(dims[t] for t in active)
@@ -506,20 +492,22 @@ def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
     return block_group(dims, controls, active, blocks)
 
 
-def execute(schedule: Schedule, state: StateVector) -> StateVector:
-    """Apply every gate in order; idle markers are skipped."""
+def execute(schedule: Schedule, state: StateVector,
+            op_range: tuple[int, int] | None = None) -> StateVector:
+    """Apply every gate (of the op range) in order; idle markers are skipped."""
     if state.layout is not schedule.layout and state.layout != schedule.layout:
         raise ValueError("state layout does not match schedule layout")
-    amp = execute_array(schedule, state.amplitudes)
+    amp = execute_array(schedule, state.amplitudes, op_range)
     return StateVector(state.layout, amp)
 
 
-def _run_sector(schedule: Schedule, op_range: tuple[int, int] | None, n: int,
-                amplitudes: np.ndarray) -> np.ndarray:
-    """Run the fused plan of sector n on amplitudes over that sector's registers.
+def execute_sector(schedule: Schedule, n: int, amplitudes: np.ndarray,
+                   op_range: tuple[int, int] | None = None) -> np.ndarray:
+    """Run the fused plan of fermion-number sector n on amplitudes over that
+    sector's registers; trailing axes beyond them are batch.
 
     The plan is built on first use and kept on the schedule, keyed by
-    (lo, hi, n).
+    (lo, hi, n).  The input is never written.
     """
     lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
     key = slice(lo, hi).indices(len(schedule.ops))[:2] + (n,)
@@ -536,8 +524,8 @@ def execute_array(schedule: Schedule, amplitudes: np.ndarray,
     Every gate keeps the fermion number, and the fermions are the leading
     registers, so the amplitudes split by the fermion configuration into
     sectors of fixed occupation.  Each sector with an amplitude that is
-    not exactly zero is gathered, run through its own fused plan and
-    scattered into a zero output; the input is never written.
+    not exactly zero is gathered, run by `execute_sector` and scattered
+    into a zero output; the input is never written.
     """
     v = len(schedule.layout.geometry.vertices)
     rows = amplitudes.reshape(2 ** v, -1)
@@ -547,7 +535,7 @@ def execute_array(schedule: Schedule, amplitudes: np.ndarray,
         index = _sector(v, n)
         if populated[index].any():
             sector = rows[index].reshape((-1,) + amplitudes.shape[1:])
-            out[index] = _run_sector(schedule, op_range, n, sector).reshape(index.size, -1)
+            out[index] = execute_sector(schedule, n, sector, op_range).reshape(index.size, -1)
     return out.reshape(amplitudes.shape)
 
 
@@ -569,17 +557,17 @@ def schedule_physical_map(schedule: Schedule,
     for n in range(v + 1):
         rows = (_sector(v, n)[:, None] * links + np.arange(links)).ravel()
         columns = lift_physical(np.eye(rows.size, dtype=np.complex128), layout)
-        block = project_ancillas(_run_sector(schedule, op_range, n, columns), layout)
+        block = project_ancillas(execute_sector(schedule, n, columns, op_range), layout)
         full[np.ix_(rows, rows)] = block
     return full
 
 
-def total_fermion_number(state: StateVector) -> float:
-    """Expectation of the summed fermion occupation, from the fermions' marginal."""
-    layout = state.layout
-    fermions = [i for i, r in enumerate(layout.registers) if r.kind == "fermion"]
-    (marginal,) = marginals(state, [fermions])
-    return float(np.dot(marginal.reshape(-1), _occupation(len(fermions))))
+def total_fermion_number(layout: RegisterLayout, probs: np.ndarray) -> float:
+    """Expectation of the summed fermion occupation, from the fermions' marginal
+    of a `physical_probabilities` tensor."""
+    v = len(layout.geometry.vertices)
+    (marginal,) = marginals(probs, [range(v)])
+    return float(np.dot(marginal.reshape(-1), _occupation(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import LatticeGeometry, StateVector, build_layout, gate_group, run_gates
+from zngauge.lattice import (LatticeGeometry, StateVector, build_layout, gate_group,
+                             physical_probabilities, run_gates, scatter_sector,
+                             singlet_fermion_number, singlet_sector)
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +23,17 @@ def layout22():
 @pytest.fixture(scope="session")
 def cpl1():
     return Couplings()
+
+
+def build_global_singlet(layout):
+    """The global singlet as a full-space state: its sector amplitudes scattered."""
+    amplitudes = scatter_sector(layout, singlet_fermion_number(layout), singlet_sector(layout))
+    return StateVector(layout, amplitudes)
+
+
+def probabilities(state):
+    """The `physical_probabilities` tensor of a full-space state."""
+    return physical_probabilities(state.layout, state.amplitudes)
 
 
 def embed_on(gate, targets, dims):

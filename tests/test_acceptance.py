@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import embed_on, embed_physical, taylor_expm
+from conftest import build_global_singlet, embed_on, embed_physical, taylor_expm
 from zngauge.algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -24,7 +24,6 @@ from zngauge.config import SimulationConfig
 from zngauge.drivers import run_quench
 from zngauge.lattice import (
     LatticeGeometry,
-    build_global_singlet,
     build_layout,
     project_ancillas,
 )

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import (apply_factors, brute_force_term, embed_physical, taylor_expm,
-                      term_support)
+from conftest import (apply_factors, brute_force_term, build_global_singlet, embed_physical,
+                      probabilities, taylor_expm, term_support)
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
@@ -30,7 +30,6 @@ from zngauge.algebra import (
 from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
-    build_global_singlet,
     build_layout,
     lift_physical,
     project_ancillas,
@@ -269,7 +268,7 @@ def test_gauss_operator_order_three(layout22):
 
 def test_singlet_is_gauge_invariant(layout22):
     st = build_global_singlet(layout22)
-    for v, val in gauss_expectations(st).items():
+    for v, val in gauss_expectations(st.layout, probabilities(st)).items():
         assert abs(val - 1.0) < 1e-12, v
 
 
@@ -280,7 +279,7 @@ def test_meson_state_is_gauge_invariant(layout22):
     st = apply_factors(st, {layout22.fermion_index((0, 0)): np.array([[0, 1], [1, 0]], complex)})
     alg = make_link_algebra(3)
     st = apply_factors(st, {layout22.link_index(((0, 0), 2)): alg.q})
-    for v, val in gauss_expectations(st).items():
+    for v, val in gauss_expectations(st.layout, probabilities(st)).items():
         assert abs(val - 1.0) < 1e-12, v
 
 
@@ -293,7 +292,7 @@ def test_gauge_projector_is_idempotent(layout22):
     inv = random_gauge_invariant_physical(layout22, rng)
     assert np.linalg.norm(inv) == pytest.approx(1.0, abs=1e-12)
     st = StateVector(layout22, lift_physical(inv, layout22))
-    for val in gauss_expectations(st).values():
+    for val in gauss_expectations(st.layout, probabilities(st)).values():
         assert abs(val - 1.0) < 1e-10
 
 
@@ -466,7 +465,7 @@ def test_gauss_expectations_match_the_operator_form(geo):
     rng = np.random.default_rng(17)
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
     st = StateVector(lay, amp / np.linalg.norm(amp))
-    got = gauss_expectations(st)
+    got = gauss_expectations(st.layout, probabilities(st))
     assert list(got) == lay.geometry.vertices
     for v, val in got.items():
         rotated = apply_factors(st, gauss_law_operator(lay, v))
@@ -485,7 +484,7 @@ def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
 
     monkeypatch.setattr(algebra_module, "gauss_law_operator", skewed)
     with pytest.raises(ValueError, match="not diagonal"):
-        gauss_expectations(build_global_singlet(layout22))
+        gauss_expectations(layout22, probabilities(build_global_singlet(layout22)))
 
 
 def test_link_algebra_is_cached_and_read_only():

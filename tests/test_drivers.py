@@ -2,14 +2,17 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import build_global_singlet, probabilities
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.oracle as oracle
-from zngauge.algebra import Couplings, make_link_algebra
+from zngauge.algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
+                             make_link_algebra)
 from zngauge.config import SimulationConfig
 from zngauge.drivers import (
     CheckResult,
@@ -27,11 +30,13 @@ from zngauge.drivers import (
 from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
-    build_global_singlet,
+    ancilla_restoration_fidelity,
     build_layout,
     gate_group,
+    project_ancillas,
     run_gates,
 )
+from zngauge.schedule import compile_step, execute, total_fermion_number
 
 EXPECTED_CHECKS = [
     "algebra_closure",
@@ -57,7 +62,7 @@ def verify_run(tmp_path_factory):
 
 def test_flux_probabilities_on_singlet(layout22):
     st = build_global_singlet(layout22)
-    dist = flux_sector_probabilities(st)[(0, 0)]
+    dist = flux_sector_probabilities(st.layout, probabilities(st))[(0, 0)]
     np.testing.assert_allclose(dist, [1.0, 0.0, 0.0], atol=1e-12)
     # raising one positively oriented link moves the whole weight to label 1
     alg = make_link_algebra(3)
@@ -65,7 +70,7 @@ def test_flux_probabilities_on_singlet(layout22):
     link = layout22.link_index(((0, 0), 1))
     raised = StateVector(layout22, run_gates((gate_group(dims, alg.q, [link]),), dims,
                                              st.amplitudes))
-    dist1 = flux_sector_probabilities(raised)[(0, 0)]
+    dist1 = flux_sector_probabilities(raised.layout, probabilities(raised))[(0, 0)]
     np.testing.assert_allclose(dist1, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -84,7 +89,7 @@ def test_flux_probabilities_match_a_loop_over_basis_states():
     for prob, digits in zip(probs, np.ndindex(*layout.dims)):
         for p, e in edges.items():
             expected[p][sum(o * digits[t] for t, o in e) % 3] += prob
-    got = flux_sector_probabilities(st)
+    got = flux_sector_probabilities(st.layout, probabilities(st))
     assert got.keys() == expected.keys()
     for p in geom.plaquettes:
         np.testing.assert_allclose(got[p], expected[p], rtol=0, atol=1e-12)
@@ -142,6 +147,57 @@ def test_quench_row_contents(tmp_path):
     assert manifest["driver"] == "quench"
     assert manifest["shots"] == 25
     assert manifest["config"]["n_steps"] == 3
+
+
+def full_space_observables(config):
+    """Per step, run_quench's observables from a full-space loop: `execute` on
+    the StateVector of the singlet and the observables of its probabilities."""
+    layout = config.build_geometry()
+    cpl = config.couplings()
+    tau = config.T / config.n_steps
+    sched = compile_step(layout, cpl, tau, config.mode, config.order,
+                         theta=config.theta, theta_prime=config.theta_prime)
+    state = build_global_singlet(layout)
+    evolver = None
+    if layout.physical_dim <= oracle.ORACLE_DIM_LIMIT:
+        evolver = oracle.ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
+        phys0 = project_ancillas(state.amplitudes, layout)
+    out = []
+    for k in range(1, config.n_steps + 1):
+        state = execute(sched, state)
+        probs = probabilities(state)
+        gauss = gauss_expectations(layout, probs)
+        want = {"gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
+                "fermion_number": total_fermion_number(layout, probs),
+                "ancilla_restoration": ancilla_restoration_fidelity(state.amplitudes, layout)}
+        if evolver is not None:
+            want["fidelity_exact"] = abs(np.vdot(evolver.evolve(k * tau, phys0),
+                                                 project_ancillas(state.amplitudes, layout)))
+        for v, val in gauss.items():
+            want[f"gauss_re_{v[0]}_{v[1]}"] = val.real
+        for p, dist in flux_sector_probabilities(layout, probs).items():
+            for m, pr in enumerate(dist):
+                want[f"flux_{p[0]}_{p[1]}_m{m}"] = pr
+        out.append(want)
+    return out
+
+
+@pytest.mark.parametrize("fields", [
+    {"mode": "direct"},
+    {"Lx": 3, "Ly": 2, "n_steps": 2},
+    {"Lx": 3, "Ly": 2, "n_steps": 2, "ancilla_policy": "shared"},
+    {"order": 2, "theta": 0.3, "theta_prime": 0.7},
+], ids=["2x2-direct", "3x2-per-plaquette", "3x2-shared", "2x2-order2-phased"])
+def test_sector_quench_matches_the_full_space_loop(fields):
+    config = SimulationConfig(**fields)
+    rows = run_quench(config)
+    reference = full_space_observables(config)
+    assert len(rows) == len(reference) == config.n_steps
+    assert ("fidelity_exact" in reference[0]) == (config.Lx * config.Ly == 4)
+    for row, want in zip(rows, reference):
+        assert set(row) == set(want) | {"step", "time"}
+        for key, value in want.items():
+            assert abs(row[key] - value) <= 1e-12, key
 
 
 def test_quench_default_config_frozen_fidelity():
@@ -283,12 +339,29 @@ def test_manifest_records_the_environment(tmp_path):
 
 
 def test_quench_footprint_is_the_state_and_two_buffers(layout22):
-    # state and output of 3888 amplitudes, three buffers of the n = 2 sector (6 * 243)
-    assert quench_footprint_bytes(layout22) == 16 * (2 * 3888 + 3 * 1458) == 194_400
+    # the singlet's n = 2 sector (6 * 243 amplitudes) and the kernel's two buffers of it
+    assert quench_footprint_bytes(layout22) == 16 * 3 * 1458 == 69_984
     big = SimulationConfig(Lx=3, Ly=3)
     need = quench_footprint_bytes(big.build_geometry())
-    assert need == 16 * (2 * 22_039_921_152 + 3 * 22_039_921_152 // 512 * 126)
+    assert need == 16 * 3 * (22_039_921_152 // 512 * 126)
     if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
         pytest.skip("this host could hold a 3x3 quench")
     with pytest.raises(MemoryError, match="physical memory"):
         run_quench(big)
+
+
+def test_quench_peak_memory_is_its_footprint():
+    """A warm 3x2 choreography quench holds the singlet's sector and the gate
+    kernel's two buffers of it, never a full-space state."""
+    config = SimulationConfig(Lx=3, Ly=2, n_steps=2)
+    layout = config.build_geometry()
+    footprint = quench_footprint_bytes(layout)
+    assert footprint < 16 * layout.total_dim
+    run_quench(config)
+    tracemalloc.start()
+    try:
+        run_quench(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * footprint

@@ -1,22 +1,25 @@
 """Geometry, register layout, and state-vector kernel tests."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import embed_on, random_unitary
+from conftest import build_global_singlet, embed_on, probabilities, random_unitary
 from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
     ancilla_restoration_fidelity,
     born_sample,
-    build_global_singlet,
     build_layout,
     gate_group,
     is_even,
     lift_physical,
     marginals,
+    physical_probabilities,
     project_ancillas,
     run_gates,
+    scatter_sector,
 )
 
 
@@ -145,7 +148,7 @@ def test_global_singlet_structure(layout22):
     expected = np.zeros(layout22.dims, dtype=complex)
     expected[0, 1, 1, 0, 0, 0, 0, 0, :] = 1.0 / np.sqrt(3)
     np.testing.assert_allclose(amp, expected, atol=1e-15)
-    assert ancilla_restoration_fidelity(st) == pytest.approx(1.0, abs=1e-12)
+    assert ancilla_restoration_fidelity(st.amplitudes, layout22) == pytest.approx(1.0, abs=1e-12)
 
 
 def _singlet_by_register_sweep(layout):
@@ -189,16 +192,16 @@ def test_singlet_and_restoration_match_the_register_sweeps(shape):
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
     st = StateVector(lay, amp / np.linalg.norm(amp))
     want = _restored_norm_by_relift(st.amplitudes, lay)
-    assert abs(ancilla_restoration_fidelity(st) - want) < 1e-14
-    assert abs(ancilla_restoration_fidelity(singlet) - 1.0) < 1e-14
+    assert abs(ancilla_restoration_fidelity(st.amplitudes, lay) - want) < 1e-14
+    assert abs(ancilla_restoration_fidelity(singlet.amplitudes, lay) - 1.0) < 1e-14
 
 
 def test_marginals_reject_an_ancilla_register(layout22):
     st = build_global_singlet(layout22)
-    (fermions,) = marginals(st, [[3, 0]])
+    (fermions,) = marginals(probabilities(st), [[3, 0]])
     assert fermions.shape == (2, 2) and fermions[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="physical registers"):
-        marginals(st, [[0, layout22.ancilla_indices()[0]]])
+        marginals(probabilities(st), [[0, layout22.ancilla_indices()[0]]])
 
 
 def test_apply_gate_matches_brute_force_embedding():
@@ -255,6 +258,29 @@ def test_project_lift_roundtrip(layout22):
     assert sector.shape == (3 * 486, 5)
     assert np.array_equal(sector, lifted[:3 * 486])
     np.testing.assert_allclose(project_ancillas(sector, layout22), batch[:486], atol=1e-14)
+
+
+@pytest.mark.parametrize("shape, policy, n", [((2, 2), "per_plaquette", 1),
+                                              ((3, 2), "shared", 3)])
+def test_sector_reads_match_the_scattered_state(shape, policy, n):
+    """A state of fixed fermion number n gives the same probabilities and
+    ancilla restoration from its sector's amplitudes as from the full state."""
+    lay = build_layout(LatticeGeometry(*shape), 3, policy)
+    v = len(lay.geometry.vertices)
+    size = lay.total_dim // 2 ** v * math.comb(v, n)
+    rng = np.random.default_rng(23)
+    sector = rng.normal(size=size) + 1j * rng.normal(size=size)
+    sector /= np.linalg.norm(sector)
+    full = scatter_sector(lay, n, sector)
+    counts = np.indices((2,) * v).reshape(v, -1).sum(axis=0)
+    rows = full.reshape(2 ** v, -1)
+    assert np.array_equal(rows[counts != n], np.zeros_like(rows[counts != n]))
+    assert np.array_equal(rows[counts == n].reshape(-1), sector)
+    probs = physical_probabilities(lay, sector, n)
+    assert probs.shape == lay.physical_dims
+    np.testing.assert_allclose(probs, physical_probabilities(lay, full), rtol=0, atol=1e-15)
+    assert abs(ancilla_restoration_fidelity(sector, lay)
+               - ancilla_restoration_fidelity(full, lay)) < 1e-15
 
 
 def test_fidelity_up_to_phase(layout22):

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 import zngauge.oracle as oracle
-from conftest import taylor_expm
+from conftest import build_global_singlet, taylor_expm
 from zngauge.algebra import (TERM_NAMES, Couplings, as_edges, expm_from_hermitian,
                              hamiltonian_edges, term_matrix, total_hamiltonian)
-from zngauge.lattice import build_global_singlet, project_ancillas
+from zngauge.lattice import project_ancillas
 from zngauge.oracle import (
     ExactEvolver,
     bound_validity,

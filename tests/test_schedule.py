@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed_physical
+from conftest import build_global_singlet, embed_physical, probabilities
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
@@ -21,7 +21,6 @@ from zngauge.lattice import (
     LatticeGeometry,
     StateVector,
     block_group,
-    build_global_singlet,
     build_layout,
     gate_group,
     is_even,
@@ -263,7 +262,8 @@ def test_repeated_execute_matches_powered_map(layout22, cpl1):
 
 
 def test_total_fermion_number_on_singlet(layout22):
-    assert total_fermion_number(build_global_singlet(layout22)) == pytest.approx(2.0)
+    singlet = build_global_singlet(layout22)
+    assert total_fermion_number(layout22, probabilities(singlet)) == pytest.approx(2.0)
 
 
 def test_total_fermion_number_matches_a_loop_over_basis_states():
@@ -275,7 +275,8 @@ def test_total_fermion_number_matches_a_loop_over_basis_states():
     probs = (np.abs(st.amplitudes) ** 2).tolist()
     expected = sum(prob * sum(digits[i] for i in fermions)
                    for prob, digits in zip(probs, np.ndindex(*layout.dims)))
-    assert total_fermion_number(st) == pytest.approx(expected, rel=0, abs=1e-12)
+    got = total_fermion_number(layout, probabilities(st))
+    assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_execute_rejects_layout_mismatch(sched_cho1):
@@ -410,6 +411,7 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
         return bad if name == "mass_phase" else cached(name, params, dims)
 
     monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
+    schedule_module._member.cache_clear()   # members built from the honest gates
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
     amp = build_global_singlet(layout22).amplitudes
     with pytest.raises(ValueError, match=message):
@@ -551,13 +553,13 @@ def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order)
     sector's 3 ancilla states: 81, 324, 486, 324 and 81 columns."""
     sched = compile_step(layout22, cpl1, 0.4, mode, order, theta=0.3, theta_prime=0.7)
     batches = []
-    run_sector = schedule_module._run_sector
+    execute_sector = schedule_module.execute_sector
 
-    def spy(schedule, op_range, n, amplitudes):
+    def spy(schedule, n, amplitudes, op_range=None):
         batches.append((n, amplitudes.shape))
-        return run_sector(schedule, op_range, n, amplitudes)
+        return execute_sector(schedule, n, amplitudes, op_range)
 
-    monkeypatch.setattr(schedule_module, "_run_sector", spy)
+    monkeypatch.setattr(schedule_module, "execute_sector", spy)
     schedule_physical_map(sched)
     monkeypatch.undo()
     d = [math.comb(4, n) * 81 for n in range(5)]
@@ -583,6 +585,7 @@ def test_packed_map_rejects_a_gate_that_moves_a_fermion(layout22, cpl1, monkeypa
         return sigma_x if name == "mass_phase" else cached(name, params, dims)
 
     monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
+    schedule_module._member.cache_clear()   # members built from the honest gates
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
     with pytest.raises(ValueError, match="fermion number"):
         schedule_physical_map(sched)

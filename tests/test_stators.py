@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import taylor_expm
-from zngauge.lattice import (StateVector, ancilla_restoration_fidelity, build_global_singlet,
+from conftest import build_global_singlet, taylor_expm
+from zngauge.lattice import (StateVector, ancilla_restoration_fidelity,
                              gate_group, run_gates)
 from zngauge.stators import (
     COLLISION_ANGLE,
@@ -341,8 +341,8 @@ def test_stator_mediated_drive_on_full_register_set(layout22, alg3):
         return StateVector(layout22, run_gates(groups, dims, singlet))
 
     st = sandwich(alg3.q)
-    assert ancilla_restoration_fidelity(st) == pytest.approx(1.0, abs=1e-12)
+    assert ancilla_restoration_fidelity(st.amplitudes, layout22) == pytest.approx(1.0, abs=1e-12)
     want = run_gates((gate_group(dims, alg3.q.conj().T, [4]),), dims, singlet)
     assert np.abs(st.amplitudes - want).max() < 1e-12
     # a P~ drive instead leaves the ancilla fully outside the restored space
-    assert ancilla_restoration_fidelity(sandwich(alg3.p)) < 1e-12
+    assert ancilla_restoration_fidelity(sandwich(alg3.p).amplitudes, layout22) < 1e-12
