@@ -9,7 +9,7 @@ Trotter step and the optical-lattice design utilities.
 from .lattice import (LatticeGeometry, Register, RegisterLayout, StateVector,
                       ancilla_restoration_fidelity, born_sample, build_layout,
                       lift_physical, marginals, physical_probabilities,
-                      project_ancillas, scatter_sector, singlet_sector)
+                      project_ancillas, singlet_support)
 from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
                       gauss_law_operator, make_link_algebra,
                       random_gauge_invariant_physical, term_matrix,
@@ -18,7 +18,7 @@ from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
 from .schedule import (Schedule, compile_step, dump_schedule, execute,
-                       execute_sector, gauge_away_phases, schedule_physical_map,
+                       execute_sector, execute_support, gauge_away_phases, schedule_physical_map,
                        solve_vertex_potential, spurious_phase_field,
                        total_fermion_number)
 from .oracle import (ExactEvolver, diamond_surrogate_distance, steps_required,

@@ -18,16 +18,16 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (RegisterLayout, StateVector, _sector_dims,
-                      ancilla_restoration_fidelity, born_sample, check_normalized,
-                      lift_physical, marginals, physical_probabilities, project_ancillas,
-                      scatter_sector, singlet_fermion_number, singlet_sector)
+from .lattice import (NORM_TOL, RegisterLayout, StateVector, _sector_dims,
+                      ancilla_restoration_fidelity, born_sample, check_normalized, full_index,
+                      lift_physical, marginals, physical_probabilities, project_support,
+                      singlet_fermion_number, singlet_support)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
                       selective_collision, stator_entangler, z3_collision_entangler)
-from .schedule import (compile_step, dump_schedule, execute, execute_sector,
+from .schedule import (compile_step, dump_schedule, execute, execute_support,
                        gauge_away_phases, schedule_physical_map, solve_vertex_potential,
                        spurious_phase_field, total_fermion_number)
 from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
@@ -126,10 +126,23 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
     return config.build_geometry()
 
 
-def quench_footprint_bytes(layout: RegisterLayout) -> int:
-    """Bytes a quench holds: the singlet's fermion-number sector and the gate
-    kernel's two buffers of it."""
-    return 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
+def quench_footprint_bytes(layout: RegisterLayout, shots: int = 0) -> int:
+    """Bytes a quench is allowed: three complex buffers of the singlet's
+    fermion-number sector and, with shots, the full state (16 B per
+    amplitude) and `born_sample`'s |a|^2, its normalized copy and
+    cumulative sum (24 B per amplitude).
+
+    The support kernel's worst case, a support that is the whole sector,
+    holds about 190 B per amplitude of it (measured on 3x2), more than
+    this allows.  From the singlet the Gauss law and the restored
+    ancillas keep the support far smaller: on 3x2 it peaks at 14,580 of
+    the sector's 393,660 amplitudes, and a warm choreography quench peaks
+    at 10.1 MiB against the 18.0 MiB allowed.
+    """
+    need = 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
+    if shots > 0:
+        need += (16 + 24) * layout.total_dim
+    return need
 
 
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
@@ -137,35 +150,46 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     """Sudden-interaction evolution from the global singlet.
 
     Every gate keeps the fermion number, so the state stays in the
-    singlet's sector and is evolved and measured there; with `shots` its
-    final amplitudes are scattered into the full space once, for sampling.
-    Records per step: Gauss-law expectation per vertex, total fermion
-    number, flux-sector probabilities, ancilla restoration, and (when
-    the physical dimension allows dense diagonalization) fidelity
-    against the exact propagator.
+    singlet's sector, where it is evolved and measured on its support by
+    `execute_support`; with `shots` its final amplitudes are scattered
+    into the full space once, for sampling.  Records per step: Gauss-law
+    expectation per vertex, total fermion number, flux-sector
+    probabilities, ancilla restoration, the norm the support kernel has
+    dropped so far (a bound on the distance to exact arithmetic;
+    RuntimeError once it exceeds NORM_TOL), and (when the physical
+    dimension allows dense diagonalization) fidelity against the exact
+    propagator.
     """
     layout = config.build_geometry()
-    need = quench_footprint_bytes(layout)
+    need = quench_footprint_bytes(layout, shots if out_dir is not None else 0)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers of the "
-                          f"singlet's fermion-number sector), over the {have / 2**30:.3g} GiB "
-                          f"of physical memory")
+                          f"singlet's fermion-number sector, and the full state if sampled), "
+                          f"over the {have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
                          theta=config.theta, theta_prime=config.theta_prime)
-    n = singlet_fermion_number(layout)
-    amplitudes = singlet_sector(layout)
+    n, index, amplitudes = singlet_support(layout)
     evolver = None
     if layout.physical_dim <= ORACLE_DIM_LIMIT:
         evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
-        phys0 = scatter_sector(layout, n, project_ancillas(amplitudes, layout))
+        phys0 = np.zeros(layout.physical_dim, dtype=np.complex128)
+        physical, projected = project_support(layout, full_index(layout, n, index), amplitudes)
+        phys0[physical] = projected
+    truncated = 0.0
     rows = []
     for k in range(1, config.n_steps + 1):
-        amplitudes = execute_sector(sched, n, amplitudes)
+        index, amplitudes, dropped = execute_support(sched, n, index, amplitudes)
+        truncated += dropped
+        if truncated > NORM_TOL:
+            raise RuntimeError(f"the support kernel dropped a norm of {truncated:.3e} by step "
+                               f"{k}, over NORM_TOL = {NORM_TOL:g}")
         check_normalized(amplitudes)
-        probs = physical_probabilities(layout, amplitudes, n)
+        full = full_index(layout, n, index)
+        probs = physical_probabilities(layout, amplitudes, full)
+        physical, projected = project_support(layout, full, amplitudes)
         gauss = gauss_expectations(layout, probs)
         flux = flux_sector_probabilities(layout, probs)
         row = {
@@ -173,12 +197,12 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
             "time": k * tau,
             "gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
             "fermion_number": total_fermion_number(layout, probs),
-            "ancilla_restoration": ancilla_restoration_fidelity(amplitudes, layout),
+            "ancilla_restoration": float(np.linalg.norm(projected)),
+            "truncated_norm": truncated,
         }
         if evolver is not None:
             target = evolver.evolve(k * tau, phys0)
-            row["fidelity_exact"] = float(abs(np.vdot(
-                target, scatter_sector(layout, n, project_ancillas(amplitudes, layout)))))
+            row["fidelity_exact"] = float(abs(np.vdot(target[physical], projected)))
         for v in layout.geometry.vertices:
             row[f"gauss_re_{v[0]}_{v[1]}"] = float(gauss[v].real)
         for p, dist in flux.items():
@@ -192,8 +216,9 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
         write_csv(os.path.join(out_dir, "trajectory.csv"), header,
                   [[r[h] for h in header] for r in rows])
         if shots > 0:
-            state = StateVector(layout, scatter_sector(layout, n, amplitudes))
-            sample = measure_configuration(state, config.seed, shots)
+            state = np.zeros(layout.total_dim, dtype=np.complex128)
+            state[full_index(layout, n, index)] = amplitudes
+            sample = measure_configuration(StateVector(layout, state), config.seed, shots)
             head = ([f"occ_{v[0]}_{v[1]}" for v in sample["vertices"]]
                     + [f"link_{l[0][0]}_{l[0][1]}_{l[1]}" for l in sample["links"]])
             body = np.hstack([sample["occupation"], sample["flux"]])

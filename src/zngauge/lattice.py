@@ -26,6 +26,7 @@ import numpy as np
 
 NORM_TOL = 1e-9       # state vectors must stay normalized to this
 UNITARITY_TOL = 1e-12  # gates must be unitary to this
+SUPPORT_TOL = 1e-13    # the support kernel drops amplitudes of at most this modulus
 
 Vertex = tuple[int, int]
 Link = tuple[Vertex, int]
@@ -270,19 +271,15 @@ def _sector_dims(layout: RegisterLayout, n: int) -> tuple[int, ...]:
     return (math.comb(v, n),) + tuple(int(d) for d in layout.dims[v:])
 
 
-def scatter_sector(layout: RegisterLayout, n: int, values: np.ndarray) -> np.ndarray:
-    """Values on the configurations of sector n, zero-padded to all 2^V.
+def full_index(layout: RegisterLayout, n: int, index: np.ndarray) -> np.ndarray:
+    """Full-space basis index of each basis index of sector n.
 
-    Whatever follows the fermions is kept as it is: every other register
-    for amplitudes, the links alone for physical amplitudes or
-    probabilities.
+    The map keeps order, and dividing its result by the product of the
+    ancilla dims gives the physical index.
     """
     v = len(layout.geometry.vertices)
-    index = _sector(v, n)
-    rows = values.reshape(index.size, -1)
-    out = np.zeros((2 ** v, rows.shape[1]), dtype=values.dtype)
-    out[index] = rows
-    return out.reshape(-1)
+    trailing = layout.total_dim >> v
+    return _sector(v, n)[index // trailing] * trailing + index % trailing
 
 
 def singlet_fermion_number(layout: RegisterLayout) -> int:
@@ -290,23 +287,23 @@ def singlet_fermion_number(layout: RegisterLayout) -> int:
     return sum(not is_even(x) for x in layout.geometry.vertices)
 
 
-def singlet_sector(layout: RegisterLayout) -> np.ndarray:
-    """Reference gauge-invariant state, on the registers of its sector
-    singlet_fermion_number(layout).
+def singlet_support(layout: RegisterLayout) -> tuple[int, np.ndarray, np.ndarray]:
+    """Reference gauge-invariant state on its support: its fermion number n,
+    its basis indices in sector n, ascending, and their amplitudes.
 
     Links in |m=0>, fermions filling every odd vertex (the staggered
     vacuum), each ancilla in the uniform superposition |in~>, which is the
-    eigenvalue-1 eigenvector of the ancilla shift operator.
-    `scatter_sector` gives its amplitudes on the full space.
+    eigenvalue-1 eigenvector of the ancilla shift operator: one physical
+    basis state times the ancilla product, one entry per ancilla state.
     """
     vertices = layout.geometry.vertices
     v = len(vertices)
+    n = singlet_fermion_number(layout)
     filled = sum(1 << (v - 1 - i) for i, x in enumerate(vertices) if not is_even(x))
-    index = _sector(v, singlet_fermion_number(layout))
-    links = layout.physical_dim // 2 ** v
-    physical = np.zeros(index.size * links, dtype=np.complex128)
-    physical[np.searchsorted(index, filled) * links] = 1.0
-    return lift_physical(physical, layout)
+    ancillas = lift_physical(np.ones(1, dtype=np.complex128), layout)
+    row = int(np.searchsorted(_sector(v, n), filled))
+    index = row * (layout.total_dim >> v) + np.arange(ancillas.size)
+    return n, index, ancillas
 
 
 @dataclass(frozen=True)
@@ -449,6 +446,107 @@ def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarr
     return cur.reshape(amplitudes.shape)
 
 
+@lru_cache(maxsize=1024)
+def _support_tables(dims: tuple[int, ...], controls: tuple[int, ...],
+                    active: tuple[int, ...]) -> tuple:
+    """A group's targets as `run_support` reads them.  `local` is the value
+    of the target digits in increasing register order, the nested sum of
+    (index // stride) % size over `runs` of consecutive targets (no modulo
+    when the run leads); the tables map it to the control value, the
+    active value and `shift`, which makes index + shift[local] the row key:
+    the index with its active digits zeroed, plus control * prod(dims) so
+    that one control value's rows sort together.  `offsets` holds the
+    index offset of each active value."""
+    regs = sorted(controls + active)
+    stride = {t: math.prod(dims[t + 1:]) for t in regs}
+    runs, start = [], 0
+    for i in range(1, len(regs) + 1):
+        if i == len(regs) or regs[i] != regs[i - 1] + 1:
+            runs.append((stride[regs[i - 1]], math.prod(dims[t] for t in regs[start:i]),
+                         regs[start] == 0))
+            start = i
+    size = math.prod(dims[t] for t in regs)
+    digit = dict(zip(regs, np.indices([dims[t] for t in regs]).reshape(len(regs), size)))
+
+    def radix(targets):
+        value = np.zeros(size, dtype=np.int64)
+        for t in targets:
+            value = value * dims[t] + digit[t]
+        return value
+
+    control, act = radix(controls), radix(active)
+    shift = control * math.prod(dims) - sum((digit[t] * stride[t] for t in active), 0)
+    a_dim = math.prod(dims[t] for t in active)
+    values = np.indices([dims[t] for t in active]).reshape(len(active), a_dim)
+    offsets = np.dot([stride[t] for t in active], values).astype(np.int64).reshape(-1)
+    for table in (control, act, shift, offsets):
+        table.setflags(write=False)
+    return tuple(runs), control, act, shift, offsets
+
+
+def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
+                amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Apply checked gate groups to a state given on its support.
+
+    `index` holds distinct basis indices of `dims` and `amplitudes` their
+    amplitudes; every other amplitude is zero.  Per group, each index
+    splits into its non-active digits, its control value and its active
+    value: the entries are gathered into (K, A) rows, one per non-active
+    digit string present, one matmul per control value present applies
+    the blocks, and the rows are scattered back with every amplitude of
+    modulus at most SUPPORT_TOL dropped; a group with A = 1 only
+    multiplies.  Returns the indices, ascending, their amplitudes, and
+    the summed norms of what each group dropped, which bounds the distance
+    to `run_gates`' result since every group is unitary.  The inputs are
+    never written.
+    """
+    dims = tuple(int(d) for d in dims)
+    space = math.prod(dims)
+    dropped = 0.0
+    for g in groups:
+        runs, control, active, shift, offsets = _support_tables(dims, g.controls, g.active)
+        local = None
+        for stride, size, leading in runs:
+            digits = index // stride if stride > 1 else index
+            digits = digits if leading else digits % size
+            local = digits if local is None else local * size + digits
+        n_blk, a_dim = g.blocks.shape[:2]
+        if a_dim == 1:
+            amplitudes = amplitudes * g.blocks[control[local], 0, 0]
+            continue
+        key = index + shift[local]
+        order = np.argsort(key)
+        key = key[order]
+        new = np.empty(key.size, dtype=bool)
+        new[:1] = True
+        np.not_equal(key[1:], key[:-1], out=new[1:])
+        rows = key[new]
+        # row 0 of x is a spare, so the running count of new keys is the row
+        x = np.zeros((rows.size + 1) * a_dim, dtype=np.complex128)
+        x[np.cumsum(new) * a_dim + active[local[order]]] = amplitudes[order]
+        x = x.reshape(-1, a_dim)[1:]
+        if n_blk == 1:
+            y = x @ g.blocks[0].T
+        else:
+            c_rows, rows = np.divmod(rows, space)
+            bounds = np.searchsorted(c_rows, np.arange(n_blk + 1)).tolist()
+            y = np.empty_like(x)
+            for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                if lo < hi:
+                    np.matmul(x[lo:hi], g.blocks[c].T, out=y[lo:hi])
+        y = y.reshape(-1)
+        modulus = np.abs(y)
+        small = modulus <= SUPPORT_TOL
+        lost = modulus[small]
+        dropped += math.sqrt(np.dot(lost, lost))
+        kept = np.flatnonzero(~small)
+        amplitudes = y[kept]
+        row, value = np.divmod(kept, a_dim)
+        index = rows[row] + offsets[value]
+    order = np.argsort(index)
+    return index[order], amplitudes[order], dropped
+
+
 def ancilla_restoration_fidelity(amplitudes: np.ndarray, layout: RegisterLayout) -> float:
     """Overlap of a state with the |in~>-restored-ancilla subspace.
 
@@ -494,18 +592,31 @@ def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
 
 
 def physical_probabilities(layout: RegisterLayout, amplitudes: np.ndarray,
-                           n: int | None = None) -> np.ndarray:
+                           index: np.ndarray | None = None) -> np.ndarray:
     """|psi|^2 with the ancillas summed out, one axis per physical register.
 
-    `amplitudes` run over every register, or, given n, over the registers
-    of sector n; that sector's rows are then scattered into the 2^V
-    fermion configurations.
+    `amplitudes` run over every register or, given `index`, sit on those
+    full-space basis indices (`full_index` of a support), every other
+    amplitude being zero.
     """
     anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
-    probs = (np.abs(amplitudes) ** 2).reshape(-1, anc).sum(axis=1)
-    if n is not None:
-        probs = scatter_sector(layout, n, probs)
+    weights = np.abs(amplitudes) ** 2
+    if index is None:
+        probs = weights.reshape(-1, anc).sum(axis=1)
+    else:
+        probs = np.bincount(index // anc, weights=weights, minlength=layout.physical_dim)
     return probs.reshape(layout.physical_dims)
+
+
+def project_support(layout: RegisterLayout, index: np.ndarray,
+                    amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`project_ancillas` of a state given on ascending full-space basis
+    indices: the physical indices it reaches, ascending, and the physical
+    amplitudes there."""
+    anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
+    physical = index // anc
+    starts = np.flatnonzero(np.diff(physical, prepend=-1))
+    return physical[starts], np.add.reduceat(amplitudes, starts) / math.sqrt(anc)
 
 
 def marginals(probs: np.ndarray, supports) -> list[np.ndarray]:

@@ -37,6 +37,7 @@ from .lattice import (
     marginals,
     project_ancillas,
     run_gates,
+    run_support,
 )
 from .algebra import Couplings, monomial_map
 from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequence
@@ -501,20 +502,32 @@ def execute(schedule: Schedule, state: StateVector,
     return StateVector(state.layout, amp)
 
 
-def execute_sector(schedule: Schedule, n: int, amplitudes: np.ndarray,
-                   op_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Run the fused plan of fermion-number sector n on amplitudes over that
-    sector's registers; trailing axes beyond them are batch.
-
-    The plan is built on first use and kept on the schedule, keyed by
-    (lo, hi, n).  The input is never written.
-    """
+def _plan(schedule: Schedule, n: int, op_range: tuple[int, int] | None = None):
+    """The fused plan of the op range in fermion-number sector n, built on
+    first use and kept on the schedule, keyed by (lo, hi, n)."""
     lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
     key = slice(lo, hi).indices(len(schedule.ops))[:2] + (n,)
     plan = schedule._plans.get(key)
     if plan is None:
         plan = schedule._plans[key] = _fuse(schedule.layout, schedule.ops[key[0]:key[1]], n)
-    return run_gates(plan, _sector_dims(schedule.layout, n), amplitudes)
+    return plan
+
+
+def execute_sector(schedule: Schedule, n: int, amplitudes: np.ndarray,
+                   op_range: tuple[int, int] | None = None) -> np.ndarray:
+    """Run the fused plan of fermion-number sector n on amplitudes over that
+    sector's registers; trailing axes beyond them are batch.  The input is
+    never written."""
+    return run_gates(_plan(schedule, n, op_range), _sector_dims(schedule.layout, n), amplitudes)
+
+
+def execute_support(schedule: Schedule, n: int, index: np.ndarray,
+                    amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Run the step's fused plan of sector n, the one `execute_sector` runs,
+    on a state given on its support: basis indices of that sector's
+    registers and their amplitudes.  Returns the new support and the norm
+    `lattice.run_support` dropped."""
+    return run_support(_plan(schedule, n), _sector_dims(schedule.layout, n), index, amplitudes)
 
 
 def execute_array(schedule: Schedule, amplitudes: np.ndarray,

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import (LatticeGeometry, StateVector, build_layout, gate_group,
-                             physical_probabilities, run_gates, scatter_sector,
-                             singlet_fermion_number, singlet_sector)
+from zngauge.lattice import (LatticeGeometry, StateVector, build_layout, full_index, gate_group,
+                             physical_probabilities, run_gates, singlet_support)
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +25,10 @@ def cpl1():
 
 
 def build_global_singlet(layout):
-    """The global singlet as a full-space state: its sector amplitudes scattered."""
-    amplitudes = scatter_sector(layout, singlet_fermion_number(layout), singlet_sector(layout))
+    """The global singlet as a full-space state: its support scattered."""
+    n, index, values = singlet_support(layout)
+    amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
+    amplitudes[full_index(layout, n, index)] = values
     return StateVector(layout, amplitudes)
 
 

@@ -10,6 +10,7 @@ import pytest
 from conftest import build_global_singlet, probabilities
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
+import zngauge.lattice as lattice
 import zngauge.oracle as oracle
 from zngauge.algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                              make_link_algebra)
@@ -195,9 +196,19 @@ def test_sector_quench_matches_the_full_space_loop(fields):
     assert len(rows) == len(reference) == config.n_steps
     assert ("fidelity_exact" in reference[0]) == (config.Lx * config.Ly == 4)
     for row, want in zip(rows, reference):
-        assert set(row) == set(want) | {"step", "time"}
+        assert set(row) == set(want) | {"step", "time", "truncated_norm"}
         for key, value in want.items():
             assert abs(row[key] - value) <= 1e-12, key
+    truncated = [row["truncated_norm"] for row in rows]
+    assert 0.0 <= truncated[0] and truncated == sorted(truncated) and truncated[-1] <= 1e-12
+
+
+def test_quench_raises_once_the_dropped_norm_passes_its_budget(monkeypatch):
+    """The support kernel's dropped norm is summed over the steps, and a sum
+    over NORM_TOL stops the quench instead of reporting a truncated state."""
+    monkeypatch.setattr(lattice, "SUPPORT_TOL", 1e-3)
+    with pytest.raises(RuntimeError, match="dropped a norm of"):
+        run_quench(SimulationConfig())
 
 
 def test_quench_default_config_frozen_fidelity():
@@ -350,9 +361,32 @@ def test_quench_footprint_is_the_state_and_two_buffers(layout22):
         run_quench(big)
 
 
+def test_quench_footprint_counts_the_shots(tmp_path):
+    """With shots the final state is scattered into the full space and
+    sampled: 16 B per amplitude for it and 24 B for `born_sample`'s arrays.
+    A 4x2 quench fits without shots and not with them on a host under
+    about 20 GiB, and the preflight refuses it before allocating."""
+    config = SimulationConfig(Lx=4, Ly=2)
+    layout = config.build_geometry()
+    assert (quench_footprint_bytes(layout, shots=50) - quench_footprint_bytes(layout)
+            == 40 * layout.total_dim == 40 * 2 ** 8 * 3 ** 13)
+    need = quench_footprint_bytes(layout, shots=50)
+    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
+        pytest.skip("this host could hold a sampled 4x2 quench")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MemoryError, match="physical memory"):
+            run_quench(config, str(tmp_path), shots=50)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert not (tmp_path / "trajectory.csv").exists()
+
+
 def test_quench_peak_memory_is_its_footprint():
-    """A warm 3x2 choreography quench holds the singlet's sector and the gate
-    kernel's two buffers of it, never a full-space state."""
+    """A warm 3x2 choreography quench stays within its footprint, never
+    holding a full-space state."""
     config = SimulationConfig(Lx=3, Ly=2, n_steps=2)
     layout = config.build_geometry()
     footprint = quench_footprint_bytes(layout)

@@ -12,14 +12,15 @@ from zngauge.lattice import (
     ancilla_restoration_fidelity,
     born_sample,
     build_layout,
+    full_index,
     gate_group,
     is_even,
     lift_physical,
     marginals,
     physical_probabilities,
     project_ancillas,
+    project_support,
     run_gates,
-    scatter_sector,
 )
 
 
@@ -263,24 +264,34 @@ def test_project_lift_roundtrip(layout22):
 @pytest.mark.parametrize("shape, policy, n", [((2, 2), "per_plaquette", 1),
                                               ((3, 2), "shared", 3)])
 def test_sector_reads_match_the_scattered_state(shape, policy, n):
-    """A state of fixed fermion number n gives the same probabilities and
-    ancilla restoration from its sector's amplitudes as from the full state."""
+    """A state of fixed fermion number n, given on a sparse support of its
+    sector, gives the same probabilities and projected amplitudes as the
+    full state it scatters into."""
     lay = build_layout(LatticeGeometry(*shape), 3, policy)
     v = len(lay.geometry.vertices)
     size = lay.total_dim // 2 ** v * math.comb(v, n)
     rng = np.random.default_rng(23)
-    sector = rng.normal(size=size) + 1j * rng.normal(size=size)
-    sector /= np.linalg.norm(sector)
-    full = scatter_sector(lay, n, sector)
+    index = np.sort(rng.choice(size, size=size // 3, replace=False))
+    values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    values /= np.linalg.norm(values)
+    full = np.zeros(lay.total_dim, dtype=np.complex128)
+    where = full_index(lay, n, index)
+    assert np.all(np.diff(where) > 0)
+    full[where] = values
     counts = np.indices((2,) * v).reshape(v, -1).sum(axis=0)
     rows = full.reshape(2 ** v, -1)
-    assert np.array_equal(rows[counts != n], np.zeros_like(rows[counts != n]))
+    assert not rows[counts != n].any()
+    sector = np.zeros(size, dtype=np.complex128)
+    sector[index] = values
     assert np.array_equal(rows[counts == n].reshape(-1), sector)
-    probs = physical_probabilities(lay, sector, n)
+    probs = physical_probabilities(lay, values, where)
     assert probs.shape == lay.physical_dims
     np.testing.assert_allclose(probs, physical_probabilities(lay, full), rtol=0, atol=1e-15)
-    assert abs(ancilla_restoration_fidelity(sector, lay)
-               - ancilla_restoration_fidelity(full, lay)) < 1e-15
+    physical, projected = project_support(lay, where, values)
+    dense = np.zeros(lay.physical_dim, dtype=np.complex128)
+    dense[physical] = projected
+    np.testing.assert_allclose(dense, project_ancillas(full, lay), rtol=0, atol=1e-15)
+    assert abs(np.linalg.norm(projected) - ancilla_restoration_fidelity(full, lay)) < 1e-15
 
 
 def test_fidelity_up_to_phase(layout22):
