@@ -18,9 +18,9 @@ from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
 from .schedule import (Schedule, compile_step, dump_schedule, execute,
-                       execute_sector, execute_support, gauge_away_phases, schedule_physical_map,
-                       solve_vertex_potential, spurious_phase_field,
-                       total_fermion_number)
+                       execute_sector, execute_support, gauge_away_phases,
+                       schedule_physical_map, solve_vertex_potential,
+                       spurious_phase_field, total_fermion_number)
 from .oracle import (ExactEvolver, diamond_surrogate_distance, steps_required,
                      trotter_bound)
 from .optical import (polarization_vectors, shaping_schedule, v_mat,

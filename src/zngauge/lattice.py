@@ -515,15 +515,13 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
             amplitudes = amplitudes * g.blocks[control[local], 0, 0]
             continue
         key = index + shift[local]
-        order = np.argsort(key)
+        order = key.argsort()
         key = key[order]
-        new = np.empty(key.size, dtype=bool)
-        new[:1] = True
-        np.not_equal(key[1:], key[:-1], out=new[1:])
+        new = _run_starts(key)
         rows = key[new]
         # row 0 of x is a spare, so the running count of new keys is the row
         x = np.zeros((rows.size + 1) * a_dim, dtype=np.complex128)
-        x[np.cumsum(new) * a_dim + active[local[order]]] = amplitudes[order]
+        x[new.cumsum() * a_dim + active[local[order]]] = amplitudes[order]
         x = x.reshape(-1, a_dim)[1:]
         if n_blk == 1:
             y = x @ g.blocks[0].T
@@ -539,12 +537,20 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
         small = modulus <= SUPPORT_TOL
         lost = modulus[small]
         dropped += math.sqrt(np.dot(lost, lost))
-        kept = np.flatnonzero(~small)
+        kept = (~small).nonzero()[0]
         amplitudes = y[kept]
         row, value = np.divmod(kept, a_dim)
         index = rows[row] + offsets[value]
-    order = np.argsort(index)
+    order = index.argsort()
     return index[order], amplitudes[order], dropped
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """True where a run of equal entries of a sorted array starts."""
+    new = np.empty(values.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(values[1:], values[:-1], out=new[1:])
+    return new
 
 
 def ancilla_restoration_fidelity(amplitudes: np.ndarray, layout: RegisterLayout) -> float:
@@ -615,7 +621,7 @@ def project_support(layout: RegisterLayout, index: np.ndarray,
     amplitudes there."""
     anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
     physical = index // anc
-    starts = np.flatnonzero(np.diff(physical, prepend=-1))
+    starts = _run_starts(physical).nonzero()[0]
     return physical[starts], np.add.reduceat(amplitudes, starts) / math.sqrt(anc)
 
 
