@@ -307,15 +307,17 @@ def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[list[int], 
     return support, diag
 
 
-def gauss_expectations(layout: RegisterLayout, probs: np.ndarray) -> dict[Vertex, complex]:
-    """<Theta(x)> for every vertex (1 on gauge-invariant states).
+def gauss_expectations(layout: RegisterLayout, index: np.ndarray,
+                       weights: np.ndarray) -> dict[Vertex, complex]:
+    """<Theta(x)> for every vertex (1 on gauge-invariant states) of a state
+    whose |a|^2 are `weights` on full-space basis indices `index`.
 
-    Each expectation is the marginal of a `physical_probabilities` tensor
-    on the vertex's support dotted with the diagonal of Theta(x) there.
+    Each expectation is the `marginals` of the weights on the vertex's
+    support dotted with the diagonal of Theta(x) there.
     """
     verts = layout.geometry.vertices
     forms = [_gauss_diagonal(layout, v) for v in verts]
-    probs = marginals(probs, [support for support, _ in forms])
+    probs = marginals(layout, index, weights, [support for support, _ in forms])
     return {v: complex(np.dot(p.reshape(-1), diag))
             for v, (_, diag), p in zip(verts, forms, probs)}
 

@@ -18,18 +18,17 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (NORM_TOL, RegisterLayout, StateVector, _sector_dims,
-                      ancilla_restoration_fidelity, born_sample, check_normalized, full_index,
-                      lift_physical, marginals, physical_probabilities, project_support,
-                      singlet_fermion_number, singlet_support)
+from .lattice import (NORM_TOL, RegisterLayout, _sector_dims, born_sample, check_normalized,
+                      full_index, lift_physical, marginals, project_ancillas, project_support,
+                      singlet_fermion_number, singlet_support, total_fermion_number)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
                       selective_collision, stator_entangler, z3_collision_entangler)
-from .schedule import (compile_step, dump_schedule, execute, execute_support,
+from .schedule import (compile_step, dump_schedule, execute_array, execute_support,
                        gauge_away_phases, schedule_physical_map, solve_vertex_potential,
-                       spurious_phase_field, total_fermion_number)
+                       spurious_phase_field)
 from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
                      trace_phase, trotter_bound)
 from .optical import polarization_vectors, shaping_schedule, v_mat_minima, wave_vectors
@@ -73,18 +72,19 @@ def write_manifest(out_dir: str, config: SimulationConfig, extra: dict | None = 
         f.write("\n")
 
 
-def flux_sector_probabilities(layout: RegisterLayout, probs: np.ndarray) -> dict:
-    """Per plaquette, the distribution of the oriented flux label.
+def flux_sector_probabilities(layout: RegisterLayout, index: np.ndarray,
+                              weights: np.ndarray) -> dict:
+    """Per plaquette, the distribution of the oriented flux label of a state
+    whose |a|^2 are `weights` on full-space basis indices `index`.
 
     The label is the orientation-weighted sum of the four link clock
-    digits mod N; its probabilities are marginals of a
-    `physical_probabilities` tensor.
+    digits mod N; its probabilities are `marginals` of the weights.
     """
     geom = layout.geometry
     # each plaquette's (link register, orientation) pairs in register order
     edges = [sorted((layout.link_index(l), o) for l, o in geom.plaquette_links(p))
              for p in geom.plaquettes]
-    joints = marginals(probs, [[t for t, _ in e] for e in edges])
+    joints = marginals(layout, index, weights, [[t for t, _ in e] for e in edges])
     out = {}
     for p, e, joint in zip(geom.plaquettes, edges, joints):
         orients = np.array([o for _, o in e])
@@ -93,17 +93,17 @@ def flux_sector_probabilities(layout: RegisterLayout, probs: np.ndarray) -> dict
     return out
 
 
-def measure_configuration(state: StateVector, seed: int, shots: int) -> dict:
-    """Born-rule samples of link flux labels and site occupations.
+def measure_configuration(layout: RegisterLayout, index: np.ndarray, amplitudes: np.ndarray,
+                          seed: int, shots: int) -> dict:
+    """Born-rule samples of link flux labels and site occupations of a state
+    given on full-space basis indices.
 
     Returns arrays keyed 'occupation' (shots x vertices) and 'flux'
     (shots x links) plus the vertex and link lists labelling the columns:
     occupations by sorted vertex (X, Y), flux by sorted link (origin,
     direction), so both halves of a record read in one order.
     """
-    layout = state.layout
-    rng = np.random.default_rng(seed)
-    digits = born_sample(state, rng, shots)
+    digits = born_sample(layout, index, amplitudes, np.random.default_rng(seed), shots)
     geom = layout.geometry
     verts = sorted(geom.vertices)
     f_cols = [layout.fermion_index(v) for v in verts]
@@ -126,23 +126,18 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
     return config.build_geometry()
 
 
-def quench_footprint_bytes(layout: RegisterLayout, shots: int = 0) -> int:
+def quench_footprint_bytes(layout: RegisterLayout) -> int:
     """Bytes a quench is allowed: three complex buffers of the singlet's
-    fermion-number sector and, with shots, the full state (16 B per
-    amplitude) and `born_sample`'s |a|^2, its normalized copy and
-    cumulative sum (24 B per amplitude).
+    fermion-number sector.  Its observables and shots read the support.
 
     The support kernel's worst case, a support that is the whole sector,
     holds about 190 B per amplitude of it (measured on 3x2), more than
     this allows.  From the singlet the Gauss law and the restored
     ancillas keep the support far smaller: on 3x2 it peaks at 14,580 of
     the sector's 393,660 amplitudes, and a warm choreography quench peaks
-    at 10.1 MiB against the 18.0 MiB allowed.
+    at 9.1 MiB against the 18.0 MiB allowed, with or without shots.
     """
-    need = 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
-    if shots > 0:
-        need += (16 + 24) * layout.total_dim
-    return need
+    return 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
 
 
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
@@ -150,9 +145,9 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     """Sudden-interaction evolution from the global singlet.
 
     Every gate keeps the fermion number, so the state stays in the
-    singlet's sector, where it is evolved and measured on its support by
-    `execute_support`; with `shots` its final amplitudes are scattered
-    into the full space once, for sampling.  Records per step: Gauss-law
+    singlet's sector, where it is evolved on its support by
+    `execute_support`; its observables and `shots` read that support at
+    its full-space indices.  Records per step: Gauss-law
     expectation per vertex, total fermion number, flux-sector
     probabilities, ancilla restoration, the norm the support kernel has
     dropped so far (a bound on the distance to exact arithmetic;
@@ -161,12 +156,12 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     propagator.
     """
     layout = config.build_geometry()
-    need = quench_footprint_bytes(layout, shots if out_dir is not None else 0)
+    need = quench_footprint_bytes(layout)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
         raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers of the "
-                          f"singlet's fermion-number sector, and the full state if sampled), "
-                          f"over the {have / 2**30:.3g} GiB of physical memory")
+                          f"singlet's fermion-number sector), over the "
+                          f"{have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
@@ -188,15 +183,15 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
                                f"{k}, over NORM_TOL = {NORM_TOL:g}")
         check_normalized(amplitudes)
         full = full_index(layout, n, index)
-        probs = physical_probabilities(layout, amplitudes, full)
+        weights = np.abs(amplitudes) ** 2
         physical, projected = project_support(layout, full, amplitudes)
-        gauss = gauss_expectations(layout, probs)
-        flux = flux_sector_probabilities(layout, probs)
+        gauss = gauss_expectations(layout, full, weights)
+        flux = flux_sector_probabilities(layout, full, weights)
         row = {
             "step": k,
             "time": k * tau,
             "gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
-            "fermion_number": total_fermion_number(layout, probs),
+            "fermion_number": total_fermion_number(layout, full, weights),
             "ancilla_restoration": float(np.linalg.norm(projected)),
             "truncated_norm": truncated,
         }
@@ -216,9 +211,7 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
         write_csv(os.path.join(out_dir, "trajectory.csv"), header,
                   [[r[h] for h in header] for r in rows])
         if shots > 0:
-            state = np.zeros(layout.total_dim, dtype=np.complex128)
-            state[full_index(layout, n, index)] = amplitudes
-            sample = measure_configuration(StateVector(layout, state), config.seed, shots)
+            sample = measure_configuration(layout, full, amplitudes, config.seed, shots)
             head = ([f"occ_{v[0]}_{v[1]}" for v in sample["vertices"]]
                     + [f"link_{l[0][0]}_{l[0][1]}_{l[1]}" for l in sample["links"]])
             body = np.hstack([sample["occupation"], sample["flux"]])
@@ -306,16 +299,16 @@ def run_verification_suite(config: SimulationConfig,
     checks.append(_check("gauge_matter_conjugation", float(np.abs(lhs - rhs).max()), 1e-12))
 
     # per-substep and whole-step gauge invariance on a random invariant state
-    gi = random_gauge_invariant_physical(lay, rng)
-    st = StateVector(lay, lift_physical(gi, lay))
+    state = lift_physical(random_gauge_invariant_physical(lay, rng), lay)
+    index = np.arange(lay.total_dim)
     worst_g = 0.0
     worst_anc = 0.0
     for _, a, b in sched.substeps:
-        st = execute(sched, st, (a, b))
-        probs = physical_probabilities(lay, st.amplitudes)
-        gauss = gauss_expectations(lay, probs)
+        state = execute_array(sched, state, (a, b))
+        check_normalized(state)
+        gauss = gauss_expectations(lay, index, np.abs(state) ** 2)
         worst_g = max(worst_g, max(abs(v - 1.0) for v in gauss.values()))
-        worst_anc = max(worst_anc, 1.0 - ancilla_restoration_fidelity(st.amplitudes, lay))
+        worst_anc = max(worst_anc, 1.0 - float(np.linalg.norm(project_ancillas(state, lay))))
     checks.append(_check("per_substep_gauge_invariance", worst_g, 1e-10))
     checks.append(_check("ancilla_restoration", worst_anc, 1e-10))
 

@@ -1,4 +1,4 @@
-"""Lattice geometry, register layout, and the mixed-radix state vector.
+"""Lattice geometry, register layout, and states on its mixed-radix basis.
 
 The simulated system lives on an open Lx x Ly square lattice:
 
@@ -118,7 +118,11 @@ class Register:
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Ordered registers: fermions (row-major), then links, then ancillas."""
+    """Ordered registers: fermions (row-major), then links, then ancillas.
+
+    A basis index is sum_i digit_i * stride_i, register 0 the slowest
+    (most significant) digit, matching numpy reshape order.
+    """
 
     geometry: LatticeGeometry
     N: int
@@ -209,26 +213,6 @@ def build_layout(geometry: LatticeGeometry, N: int, ancilla_policy: str = "per_p
         p: offset + anc_sites.index(serving[p]) for p in plaqs
     }
     return RegisterLayout(geometry, N, ancilla_policy, tuple(regs), anc_index)
-
-
-@dataclass
-class StateVector:
-    """Complex amplitudes over the mixed-radix basis of a RegisterLayout.
-
-    Index convention: basis index = sum_i digit_i * stride_i with register 0
-    the slowest (most significant) digit, matching numpy reshape order.
-    """
-
-    layout: RegisterLayout
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.shape != (self.layout.total_dim,):
-            raise ValueError(
-                f"amplitude length {self.amplitudes.shape} != layout dim {self.layout.total_dim}"
-            )
-        check_normalized(self.amplitudes)
 
 
 def check_normalized(amplitudes: np.ndarray):
@@ -553,17 +537,6 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return new
 
 
-def ancilla_restoration_fidelity(amplitudes: np.ndarray, layout: RegisterLayout) -> float:
-    """Overlap of a state with the |in~>-restored-ancilla subspace.
-
-    Returns the norm of the state projected onto the uniform superposition
-    on every ancilla register (1 means the ancillas are exactly back), which
-    equals the norm of its physical amplitudes after `project_ancillas`; a
-    full state and its sector's amplitudes give the same value.
-    """
-    return float(np.linalg.norm(project_ancillas(amplitudes, layout)))
-
-
 def project_ancillas(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     """Contract each ancilla axis with <in~|, returning physical amplitudes.
 
@@ -597,23 +570,6 @@ def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
     return work.reshape((-1,) + batch_shape)
 
 
-def physical_probabilities(layout: RegisterLayout, amplitudes: np.ndarray,
-                           index: np.ndarray | None = None) -> np.ndarray:
-    """|psi|^2 with the ancillas summed out, one axis per physical register.
-
-    `amplitudes` run over every register or, given `index`, sit on those
-    full-space basis indices (`full_index` of a support), every other
-    amplitude being zero.
-    """
-    anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
-    weights = np.abs(amplitudes) ** 2
-    if index is None:
-        probs = weights.reshape(-1, anc).sum(axis=1)
-    else:
-        probs = np.bincount(index // anc, weights=weights, minlength=layout.physical_dim)
-    return probs.reshape(layout.physical_dims)
-
-
 def project_support(layout: RegisterLayout, index: np.ndarray,
                     amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`project_ancillas` of a state given on ascending full-space basis
@@ -625,23 +581,42 @@ def project_support(layout: RegisterLayout, index: np.ndarray,
     return physical[starts], np.add.reduceat(amplitudes, starts) / math.sqrt(anc)
 
 
-def marginals(probs: np.ndarray, supports) -> list[np.ndarray]:
-    """Marginals of a `physical_probabilities` tensor, one per list of physical
-    registers in `supports`; each has one axis per register of its list, in
-    increasing register order."""
+def marginals(layout: RegisterLayout, index: np.ndarray, weights: np.ndarray,
+              supports) -> list[np.ndarray]:
+    """Marginals of `weights` (|a|^2) on full-space basis indices `index`, in
+    any order, one per list of physical registers in `supports`: the weights
+    binned by each register's digit (index // stride) % dim, one axis per
+    register of the list, in increasing register order."""
+    dims = [int(d) for d in layout.dims]
+    physical = len(layout.physical_dims)
     out = []
     for support in supports:
-        if not all(0 <= t < probs.ndim for t in support):
-            raise ValueError(f"support {list(support)} is not a list of physical registers")
-        out.append(probs.sum(axis=tuple(i for i in range(probs.ndim) if i not in support)))
+        support = sorted(support)
+        if not all(0 <= t < physical for t in support):
+            raise ValueError(f"support {support} is not a list of physical registers")
+        value = np.zeros(index.shape, dtype=np.int64)
+        for t in support:
+            value = value * dims[t] + index // math.prod(dims[t + 1:]) % dims[t]
+        shape = [dims[t] for t in support]
+        out.append(np.bincount(value, weights=weights, minlength=math.prod(shape)).reshape(shape))
     return out
 
 
-def born_sample(state: StateVector, rng: np.random.Generator, shots: int) -> np.ndarray:
-    """Sample basis states; returns an array of digit rows (shots x registers)."""
+def total_fermion_number(layout: RegisterLayout, index: np.ndarray, weights: np.ndarray) -> float:
+    """Expectation of the summed fermion occupation, from the fermions' marginal."""
+    v = len(layout.geometry.vertices)
+    (marginal,) = marginals(layout, index, weights, [range(v)])
+    return float(np.dot(marginal.reshape(-1), _occupation(v)))
+
+
+def born_sample(layout: RegisterLayout, index: np.ndarray, amplitudes: np.ndarray,
+                rng: np.random.Generator, shots: int) -> np.ndarray:
+    """Sample basis states of a state given on full-space basis indices;
+    returns an array of digit rows (shots x registers).  Ascending indices
+    draw what the full state they scatter into would."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
-    p = np.abs(state.amplitudes) ** 2
+    p = np.abs(amplitudes) ** 2
     p = p / p.sum()
-    flat = rng.choice(len(p), size=shots, p=p)
-    return np.stack(np.unravel_index(flat, state.layout.dims), axis=1)
+    flat = index[rng.choice(len(p), size=shots, p=p)]
+    return np.stack(np.unravel_index(flat, layout.dims), axis=1)

@@ -23,7 +23,6 @@ import numpy as np
 from .lattice import (
     Link,
     RegisterLayout,
-    StateVector,
     Vertex,
     GateGroup,
     _occupation,
@@ -34,7 +33,6 @@ from .lattice import (
     gate_group,
     is_even,
     lift_physical,
-    marginals,
     project_ancillas,
     run_gates,
     run_support,
@@ -493,15 +491,6 @@ def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
     return block_group(dims, controls, active, blocks)
 
 
-def execute(schedule: Schedule, state: StateVector,
-            op_range: tuple[int, int] | None = None) -> StateVector:
-    """Apply every gate (of the op range) in order; idle markers are skipped."""
-    if state.layout is not schedule.layout and state.layout != schedule.layout:
-        raise ValueError("state layout does not match schedule layout")
-    amp = execute_array(schedule, state.amplitudes, op_range)
-    return StateVector(state.layout, amp)
-
-
 def _plan(schedule: Schedule, n: int, op_range: tuple[int, int] | None = None):
     """The fused plan of the op range in fermion-number sector n, built on
     first use and kept on the schedule, keyed by (lo, hi, n)."""
@@ -538,8 +527,12 @@ def execute_array(schedule: Schedule, amplitudes: np.ndarray,
     registers, so the amplitudes split by the fermion configuration into
     sectors of fixed occupation.  Each sector with an amplitude that is
     not exactly zero is gathered, run by `execute_sector` and scattered
-    into a zero output; the input is never written.
+    into a zero output; the input is never written.  ValueError if the
+    amplitudes do not run over the schedule's layout.
     """
+    if amplitudes.shape[0] != schedule.layout.total_dim:
+        raise ValueError(f"amplitudes over {amplitudes.shape[0]} basis states do not fit "
+                         f"the schedule's layout of {schedule.layout.total_dim}")
     v = len(schedule.layout.geometry.vertices)
     rows = amplitudes.reshape(2 ** v, -1)
     populated = rows.any(axis=1)
@@ -573,14 +566,6 @@ def schedule_physical_map(schedule: Schedule,
         block = project_ancillas(execute_sector(schedule, n, columns, op_range), layout)
         full[np.ix_(rows, rows)] = block
     return full
-
-
-def total_fermion_number(layout: RegisterLayout, probs: np.ndarray) -> float:
-    """Expectation of the summed fermion occupation, from the fermions' marginal
-    of a `physical_probabilities` tensor."""
-    v = len(layout.geometry.vertices)
-    (marginal,) = marginals(probs, [range(v)])
-    return float(np.dot(marginal.reshape(-1), _occupation(v)))
 
 
 # ---------------------------------------------------------------------------

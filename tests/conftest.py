@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import (LatticeGeometry, StateVector, build_layout, full_index, gate_group,
-                             physical_probabilities, run_gates, singlet_support)
+from zngauge.lattice import (LatticeGeometry, build_layout, full_index, gate_group, run_gates,
+                             singlet_support)
 
 
 @pytest.fixture(scope="session")
@@ -25,16 +25,16 @@ def cpl1():
 
 
 def build_global_singlet(layout):
-    """The global singlet as a full-space state: its support scattered."""
+    """The global singlet's full-space amplitudes: its support scattered."""
     n, index, values = singlet_support(layout)
     amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
     amplitudes[full_index(layout, n, index)] = values
-    return StateVector(layout, amplitudes)
+    return amplitudes
 
 
-def probabilities(state):
-    """The `physical_probabilities` tensor of a full-space state."""
-    return physical_probabilities(state.layout, state.amplitudes)
+def dense_weights(amplitudes):
+    """A full-space state as the observables read it: every basis index, and |a|^2."""
+    return np.arange(amplitudes.size), np.abs(amplitudes) ** 2
 
 
 def embed_on(gate, targets, dims):
@@ -94,11 +94,11 @@ def random_unitary(dim, rng):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def apply_factors(state: StateVector, factors: dict[int, np.ndarray]) -> StateVector:
+def apply_factors(layout, amplitudes, factors: dict[int, np.ndarray]) -> np.ndarray:
     """Apply a factor map whose every factor is unitary, one gate per register."""
-    dims = tuple(int(d) for d in state.layout.dims)
+    dims = tuple(int(d) for d in layout.dims)
     groups = tuple(gate_group(dims, m, [i]) for i, m in sorted(factors.items()))
-    return StateVector(state.layout, run_gates(groups, dims, state.amplitudes))
+    return run_gates(groups, dims, amplitudes)
 
 
 def brute_force_term(layout, name, couplings):

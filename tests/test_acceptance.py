@@ -88,7 +88,7 @@ def u_dir01(layout22, cpl1):
 
 @pytest.fixture(scope="module")
 def phys0(layout22):
-    return project_ancillas(build_global_singlet(layout22).amplitudes, layout22)
+    return project_ancillas(build_global_singlet(layout22), layout22)
 
 
 def commutator_norm(w: np.ndarray, theta: np.ndarray) -> float:

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import (apply_factors, brute_force_term, build_global_singlet, embed_physical,
-                      probabilities, taylor_expm, term_support)
+from conftest import (apply_factors, brute_force_term, build_global_singlet, dense_weights,
+                      embed_physical, taylor_expm, term_support)
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
@@ -29,7 +29,6 @@ from zngauge.algebra import (
 )
 from zngauge.lattice import (
     LatticeGeometry,
-    StateVector,
     build_layout,
     lift_physical,
     project_ancillas,
@@ -268,18 +267,19 @@ def test_gauss_operator_order_three(layout22):
 
 def test_singlet_is_gauge_invariant(layout22):
     st = build_global_singlet(layout22)
-    for v, val in gauss_expectations(st.layout, probabilities(st)).items():
+    for v, val in gauss_expectations(layout22, *dense_weights(st)).items():
         assert abs(val - 1.0) < 1e-12, v
 
 
 def test_meson_state_is_gauge_invariant(layout22):
     """Flip one link and move the matching charge: still a Gauss eigenstate."""
     st = build_global_singlet(layout22)
-    st = apply_factors(st, {layout22.fermion_index((0, 1)): np.array([[0, 1], [1, 0]], complex)})
-    st = apply_factors(st, {layout22.fermion_index((0, 0)): np.array([[0, 1], [1, 0]], complex)})
+    flip = np.array([[0, 1], [1, 0]], complex)
+    st = apply_factors(layout22, st, {layout22.fermion_index((0, 1)): flip})
+    st = apply_factors(layout22, st, {layout22.fermion_index((0, 0)): flip})
     alg = make_link_algebra(3)
-    st = apply_factors(st, {layout22.link_index(((0, 0), 2)): alg.q})
-    for v, val in gauss_expectations(st.layout, probabilities(st)).items():
+    st = apply_factors(layout22, st, {layout22.link_index(((0, 0), 2)): alg.q})
+    for v, val in gauss_expectations(layout22, *dense_weights(st)).items():
         assert abs(val - 1.0) < 1e-12, v
 
 
@@ -291,8 +291,8 @@ def test_gauge_projector_is_idempotent(layout22):
     np.testing.assert_allclose(once, twice, atol=1e-11)
     inv = random_gauge_invariant_physical(layout22, rng)
     assert np.linalg.norm(inv) == pytest.approx(1.0, abs=1e-12)
-    st = StateVector(layout22, lift_physical(inv, layout22))
-    for val in gauss_expectations(st.layout, probabilities(st)).values():
+    st = lift_physical(inv, layout22)
+    for val in gauss_expectations(layout22, *dense_weights(st)).values():
         assert abs(val - 1.0) < 1e-10
 
 
@@ -439,7 +439,7 @@ def test_mass_term_counts_staggered_charge(layout22):
     cpl = Couplings(mass=0.7)
     m = term_matrix(layout22, "M", cpl)
     st = build_global_singlet(layout22)
-    phys = project_ancillas(st.amplitudes, layout22)
+    phys = project_ancillas(st, layout22)
     energy = np.vdot(phys, m @ phys).real
     # two occupied odd vertices at staggered sign -1 each
     assert energy == pytest.approx(-1.4, abs=1e-12)
@@ -464,12 +464,12 @@ def test_gauss_expectations_match_the_operator_form(geo):
     lay = build_layout(LatticeGeometry(*geo), 3)
     rng = np.random.default_rng(17)
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
-    st = StateVector(lay, amp / np.linalg.norm(amp))
-    got = gauss_expectations(st.layout, probabilities(st))
+    st = amp / np.linalg.norm(amp)
+    got = gauss_expectations(lay, *dense_weights(st))
     assert list(got) == lay.geometry.vertices
     for v, val in got.items():
-        rotated = apply_factors(st, gauss_law_operator(lay, v))
-        want = complex(np.vdot(st.amplitudes, rotated.amplitudes))
+        rotated = apply_factors(lay, st, gauss_law_operator(lay, v))
+        want = complex(np.vdot(st, rotated))
         assert abs(val - want) <= 1e-12, v
         assert abs(val - 1.0) > 0.1, v    # the state is far from gauge invariant
 
@@ -484,7 +484,7 @@ def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
 
     monkeypatch.setattr(algebra_module, "gauss_law_operator", skewed)
     with pytest.raises(ValueError, match="not diagonal"):
-        gauss_expectations(layout22, probabilities(build_global_singlet(layout22)))
+        gauss_expectations(layout22, *dense_weights(build_global_singlet(layout22)))
 
 
 def test_link_algebra_is_cached_and_read_only():

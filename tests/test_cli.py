@@ -116,19 +116,6 @@ def test_oversized_quench_exits_2(tmp_path):
     assert proc.stderr.startswith("error:") and "physical memory" in proc.stderr
 
 
-def test_oversized_sampled_quench_exits_2(tmp_path):
-    """A 4x2 quench with --shots needs its full state (about 6.1 GiB) and
-    the sampler's arrays on top of the sector's buffers; the preflight
-    refuses it before allocating."""
-    need = 48 * 70 * 3 ** 13 + 40 * 2 ** 8 * 3 ** 13
-    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        pytest.skip("this host could hold a sampled 4x2 quench")
-    proc = run_cli("quench", "--config", write_config(tmp_path, Lx=4, Ly=2),
-                   "--out", str(tmp_path / "out"), "--shots", "50")
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "physical memory" in proc.stderr
-
-
 def test_negative_seed_exits_2(tmp_path):
     cfg = write_config(tmp_path, n_steps=2)
     proc = run_cli("quench", "--config", cfg, "--seed", "-3")

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, probabilities
+from conftest import build_global_singlet, dense_weights
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.lattice as lattice
@@ -30,14 +30,15 @@ from zngauge.drivers import (
 )
 from zngauge.lattice import (
     LatticeGeometry,
-    StateVector,
-    ancilla_restoration_fidelity,
     build_layout,
+    full_index,
     gate_group,
     project_ancillas,
     run_gates,
+    singlet_support,
+    total_fermion_number,
 )
-from zngauge.schedule import compile_step, execute, total_fermion_number
+from zngauge.schedule import compile_step, execute_array, execute_support
 
 EXPECTED_CHECKS = [
     "algebra_closure",
@@ -63,15 +64,14 @@ def verify_run(tmp_path_factory):
 
 def test_flux_probabilities_on_singlet(layout22):
     st = build_global_singlet(layout22)
-    dist = flux_sector_probabilities(st.layout, probabilities(st))[(0, 0)]
+    dist = flux_sector_probabilities(layout22, *dense_weights(st))[(0, 0)]
     np.testing.assert_allclose(dist, [1.0, 0.0, 0.0], atol=1e-12)
     # raising one positively oriented link moves the whole weight to label 1
     alg = make_link_algebra(3)
     dims = tuple(int(d) for d in layout22.dims)
     link = layout22.link_index(((0, 0), 1))
-    raised = StateVector(layout22, run_gates((gate_group(dims, alg.q, [link]),), dims,
-                                             st.amplitudes))
-    dist1 = flux_sector_probabilities(raised.layout, probabilities(raised))[(0, 0)]
+    raised = run_gates((gate_group(dims, alg.q, [link]),), dims, st)
+    dist1 = flux_sector_probabilities(layout22, *dense_weights(raised))[(0, 0)]
     np.testing.assert_allclose(dist1, [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -81,16 +81,16 @@ def test_flux_probabilities_match_a_loop_over_basis_states():
     layout = build_layout(LatticeGeometry(3, 2), 3, "shared")
     rng = np.random.default_rng(23)
     amp = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
-    st = StateVector(layout, amp / np.linalg.norm(amp))
+    st = amp / np.linalg.norm(amp)
     geom = layout.geometry
     edges = {p: [(layout.link_index(l), o) for l, o in geom.plaquette_links(p)]
              for p in geom.plaquettes}
     expected = {p: np.zeros(3) for p in geom.plaquettes}
-    probs = (np.abs(st.amplitudes) ** 2).tolist()
+    probs = (np.abs(st) ** 2).tolist()
     for prob, digits in zip(probs, np.ndindex(*layout.dims)):
         for p, e in edges.items():
             expected[p][sum(o * digits[t] for t, o in e) % 3] += prob
-    got = flux_sector_probabilities(st.layout, probabilities(st))
+    got = flux_sector_probabilities(layout, *dense_weights(st))
     assert got.keys() == expected.keys()
     for p in geom.plaquettes:
         np.testing.assert_allclose(got[p], expected[p], rtol=0, atol=1e-12)
@@ -98,14 +98,15 @@ def test_flux_probabilities_match_a_loop_over_basis_states():
 
 def test_measure_configuration_dirac_sea(layout22):
     st = build_global_singlet(layout22)
-    sample = measure_configuration(st, seed=5, shots=40)
+    index = np.arange(st.size)
+    sample = measure_configuration(layout22, index, st, seed=5, shots=40)
     assert sample["occupation"].shape == (40, 4)
     assert sample["flux"].shape == (40, 4)
     assert sample["vertices"] == [(0, 0), (0, 1), (1, 0), (1, 1)]
     # the singlet is a product state in the measured basis
     assert np.all(sample["occupation"] == np.array([0, 1, 1, 0]))
     assert np.all(sample["flux"] == 0)
-    again = measure_configuration(st, seed=5, shots=40)
+    again = measure_configuration(layout22, index, st, seed=5, shots=40)
     assert np.array_equal(sample["occupation"], again["occupation"])
 
 
@@ -113,7 +114,8 @@ def test_measure_configuration_labels_match_columns_3x2():
     # on 3x2 the row-major and sorted vertex orders give different
     # occupation patterns, so a label list out of step with its columns shows
     layout = build_layout(LatticeGeometry(3, 2), 3)
-    sample = measure_configuration(build_global_singlet(layout), seed=5, shots=10)
+    n, index, values = singlet_support(layout)
+    sample = measure_configuration(layout, full_index(layout, n, index), values, seed=5, shots=10)
     assert sample["vertices"] == sorted(layout.geometry.vertices)
     parity = [(x1 + x2) % 2 for x1, x2 in sample["vertices"]]
     assert parity == [0, 1, 1, 0, 0, 1]
@@ -151,8 +153,9 @@ def test_quench_row_contents(tmp_path):
 
 
 def full_space_observables(config):
-    """Per step, run_quench's observables from a full-space loop: `execute` on
-    the StateVector of the singlet and the observables of its probabilities."""
+    """Per step, run_quench's observables from a full-space loop: `execute_array`
+    on the singlet's full-space amplitudes and the observables read at every
+    basis index."""
     layout = config.build_geometry()
     cpl = config.couplings()
     tau = config.T / config.n_steps
@@ -162,21 +165,21 @@ def full_space_observables(config):
     evolver = None
     if layout.physical_dim <= oracle.ORACLE_DIM_LIMIT:
         evolver = oracle.ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
-        phys0 = project_ancillas(state.amplitudes, layout)
+        phys0 = project_ancillas(state, layout)
     out = []
     for k in range(1, config.n_steps + 1):
-        state = execute(sched, state)
-        probs = probabilities(state)
-        gauss = gauss_expectations(layout, probs)
+        state = execute_array(sched, state)
+        probs = dense_weights(state)
+        gauss = gauss_expectations(layout, *probs)
+        physical = project_ancillas(state, layout)
         want = {"gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
-                "fermion_number": total_fermion_number(layout, probs),
-                "ancilla_restoration": ancilla_restoration_fidelity(state.amplitudes, layout)}
+                "fermion_number": total_fermion_number(layout, *probs),
+                "ancilla_restoration": np.linalg.norm(physical)}
         if evolver is not None:
-            want["fidelity_exact"] = abs(np.vdot(evolver.evolve(k * tau, phys0),
-                                                 project_ancillas(state.amplitudes, layout)))
+            want["fidelity_exact"] = abs(np.vdot(evolver.evolve(k * tau, phys0), physical))
         for v, val in gauss.items():
             want[f"gauss_re_{v[0]}_{v[1]}"] = val.real
-        for p, dist in flux_sector_probabilities(layout, probs).items():
+        for p, dist in flux_sector_probabilities(layout, *probs).items():
             for m, pr in enumerate(dist):
                 want[f"flux_{p[0]}_{p[1]}_m{m}"] = pr
         out.append(want)
@@ -361,27 +364,46 @@ def test_quench_footprint_is_the_state_and_two_buffers(layout22):
         run_quench(big)
 
 
-def test_quench_footprint_counts_the_shots(tmp_path):
-    """With shots the final state is scattered into the full space and
-    sampled: 16 B per amplitude for it and 24 B for `born_sample`'s arrays.
-    A 4x2 quench fits without shots and not with them on a host under
-    about 20 GiB, and the preflight refuses it before allocating."""
-    config = SimulationConfig(Lx=4, Ly=2)
+def test_sampled_quench_never_holds_the_full_state(tmp_path):
+    """Shots are drawn from the support, so a warm sampled 3x2 choreography
+    quench stays under the 16 B per amplitude of one full-space state."""
+    config = SimulationConfig(Lx=3, Ly=2, n_steps=2)
     layout = config.build_geometry()
-    assert (quench_footprint_bytes(layout, shots=50) - quench_footprint_bytes(layout)
-            == 40 * layout.total_dim == 40 * 2 ** 8 * 3 ** 13)
-    need = quench_footprint_bytes(layout, shots=50)
-    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        pytest.skip("this host could hold a sampled 4x2 quench")
+    run_quench(config, str(tmp_path), shots=50)
     tracemalloc.start()
     try:
-        with pytest.raises(MemoryError, match="physical memory"):
-            run_quench(config, str(tmp_path), shots=50)
+        run_quench(config, str(tmp_path), shots=50)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 ** 20
-    assert not (tmp_path / "trajectory.csv").exists()
+    assert peak < 16 * layout.total_dim
+    assert len((tmp_path / "measurements.csv").read_text().strip().split("\n")) == 51
+
+
+def test_quench_observables_allocate_no_physical_array():
+    """The three observables of a 3x2 step-end support read it where it
+    lies: no array of physical_dim entries is formed."""
+    config = SimulationConfig(Lx=3, Ly=2)
+    layout = config.build_geometry()
+    sched = compile_step(layout, config.couplings(), config.T / config.n_steps,
+                         config.mode, config.order)
+    n, index, amplitudes = singlet_support(layout)
+    index, amplitudes, _ = execute_support(sched, n, index, amplitudes)
+    full, weights = full_index(layout, n, index), np.abs(amplitudes) ** 2
+
+    def observe():
+        gauss_expectations(layout, full, weights)
+        flux_sector_probabilities(layout, full, weights)
+        total_fermion_number(layout, full, weights)
+
+    observe()
+    tracemalloc.start()
+    try:
+        observe()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * layout.physical_dim
 
 
 def test_quench_peak_memory_is_its_footprint():

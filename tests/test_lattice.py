@@ -1,23 +1,21 @@
-"""Geometry, register layout, and state-vector kernel tests."""
+"""Geometry, register layout, gate kernels, and the reads of a state."""
 
 import math
 
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, embed_on, probabilities, random_unitary
+from conftest import build_global_singlet, dense_weights, embed_on, random_unitary
 from zngauge.lattice import (
     LatticeGeometry,
-    StateVector,
-    ancilla_restoration_fidelity,
     born_sample,
     build_layout,
+    check_normalized,
     full_index,
     gate_group,
     is_even,
     lift_physical,
     marginals,
-    physical_probabilities,
     project_ancillas,
     project_support,
     run_gates,
@@ -126,30 +124,32 @@ def test_shared_policy_needs_even_neighbor_to_the_left():
     assert len(lay.ancilla_indices()) == 1
 
 
-def test_statevector_rejects_unnormalized(layout22):
+def test_check_normalized_rejects_unnormalized(layout22):
     amp = np.zeros(layout22.total_dim, dtype=complex)
     amp[0] = 0.5
-    with pytest.raises(ValueError):
-        StateVector(layout22, amp)
+    with pytest.raises(ValueError, match="not normalized"):
+        check_normalized(amp)
+    amp[0] = 1.0
+    check_normalized(amp)
 
 
 def test_basis_state_digit_placement(layout22):
     """born_sample reads a basis state's flat index back as its register digits."""
     amp = np.zeros(layout22.dims, dtype=complex)
     amp[1, 0, 0, 0, 2, 0, 0, 0, 0] = 1.0
-    st = StateVector(layout22, amp.reshape(-1))
-    digits = born_sample(st, np.random.default_rng(0), 3)
+    digits = born_sample(layout22, *np.nonzero(amp.reshape(-1)), np.ones(1),
+                         np.random.default_rng(0), 3)
     assert np.array_equal(digits, [[1, 0, 0, 0, 2, 0, 0, 0, 0]] * 3)
 
 
 def test_global_singlet_structure(layout22):
     st = build_global_singlet(layout22)
-    amp = st.amplitudes.reshape(layout22.dims)
+    amp = st.reshape(layout22.dims)
     # odd vertices (0,1) and (1,0) occupied, links all |0>, ancilla uniform
     expected = np.zeros(layout22.dims, dtype=complex)
     expected[0, 1, 1, 0, 0, 0, 0, 0, :] = 1.0 / np.sqrt(3)
     np.testing.assert_allclose(amp, expected, atol=1e-15)
-    assert ancilla_restoration_fidelity(st.amplitudes, layout22) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(project_ancillas(st, layout22)) == pytest.approx(1.0, abs=1e-12)
 
 
 def _singlet_by_register_sweep(layout):
@@ -188,21 +188,21 @@ def _restored_norm_by_relift(amplitudes, layout):
 def test_singlet_and_restoration_match_the_register_sweeps(shape):
     lay = build_layout(LatticeGeometry(*shape), 3)
     singlet = build_global_singlet(lay)
-    assert np.array_equal(singlet.amplitudes, _singlet_by_register_sweep(lay))
+    assert np.array_equal(singlet, _singlet_by_register_sweep(lay))
     rng = np.random.default_rng(11)
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
-    st = StateVector(lay, amp / np.linalg.norm(amp))
-    want = _restored_norm_by_relift(st.amplitudes, lay)
-    assert abs(ancilla_restoration_fidelity(st.amplitudes, lay) - want) < 1e-14
-    assert abs(ancilla_restoration_fidelity(singlet.amplitudes, lay) - 1.0) < 1e-14
+    amp /= np.linalg.norm(amp)
+    want = _restored_norm_by_relift(amp, lay)
+    assert abs(np.linalg.norm(project_ancillas(amp, lay)) - want) < 1e-14
+    assert abs(np.linalg.norm(project_ancillas(singlet, lay)) - 1.0) < 1e-14
 
 
 def test_marginals_reject_an_ancilla_register(layout22):
-    st = build_global_singlet(layout22)
-    (fermions,) = marginals(probabilities(st), [[3, 0]])
+    index, weights = dense_weights(build_global_singlet(layout22))
+    (fermions,) = marginals(layout22, index, weights, [[3, 0]])
     assert fermions.shape == (2, 2) and fermions[0, 0] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="physical registers"):
-        marginals(probabilities(st), [[0, layout22.ancilla_indices()[0]]])
+        marginals(layout22, index, weights, [[0, layout22.ancilla_indices()[0]]])
 
 
 def test_apply_gate_matches_brute_force_embedding():
@@ -232,7 +232,7 @@ def test_apply_gate_three_registers_brute_force():
 
 
 def test_apply_gate_error_paths(layout22):
-    amp = build_global_singlet(layout22).amplitudes
+    amp = build_global_singlet(layout22)
     dims = tuple(int(d) for d in layout22.dims)
     with pytest.raises(ValueError, match="unitary"):
         run_gates((gate_group(dims, np.ones((3, 3)), [4]),), dims, amp)
@@ -265,8 +265,8 @@ def test_project_lift_roundtrip(layout22):
                                               ((3, 2), "shared", 3)])
 def test_sector_reads_match_the_scattered_state(shape, policy, n):
     """A state of fixed fermion number n, given on a sparse support of its
-    sector, gives the same probabilities and projected amplitudes as the
-    full state it scatters into."""
+    sector, gives the same marginals, samples and projected amplitudes as the
+    full state it scatters into; the marginals also from a shuffled support."""
     lay = build_layout(LatticeGeometry(*shape), 3, policy)
     v = len(lay.geometry.vertices)
     size = lay.total_dim // 2 ** v * math.comb(v, n)
@@ -284,36 +284,42 @@ def test_sector_reads_match_the_scattered_state(shape, policy, n):
     sector = np.zeros(size, dtype=np.complex128)
     sector[index] = values
     assert np.array_equal(rows[counts == n].reshape(-1), sector)
-    probs = physical_probabilities(lay, values, where)
-    assert probs.shape == lay.physical_dims
-    np.testing.assert_allclose(probs, physical_probabilities(lay, full), rtol=0, atol=1e-15)
+    supports = [range(v), [v, v + 2, v + 3], [0, v + 1, v - 1]]
+    want = marginals(lay, *dense_weights(full), supports)
+    shuffled = rng.permutation(where.size)
+    for at, weights in ((where, np.abs(values) ** 2),
+                        (where[shuffled], np.abs(values[shuffled]) ** 2)):
+        for got, ref in zip(marginals(lay, at, weights, supports), want):
+            assert got.shape == ref.shape
+            np.testing.assert_allclose(got, ref, rtol=0, atol=1e-15)
+    sample = born_sample(lay, where, values, np.random.default_rng(5), 500)
+    dense_sample = born_sample(lay, np.arange(full.size), full, np.random.default_rng(5), 500)
+    assert np.array_equal(sample, dense_sample)
     physical, projected = project_support(lay, where, values)
     dense = np.zeros(lay.physical_dim, dtype=np.complex128)
     dense[physical] = projected
     np.testing.assert_allclose(dense, project_ancillas(full, lay), rtol=0, atol=1e-15)
-    assert abs(np.linalg.norm(projected) - ancilla_restoration_fidelity(full, lay)) < 1e-15
+    assert abs(np.linalg.norm(projected) - np.linalg.norm(project_ancillas(full, lay))) < 1e-15
 
 
 def test_fidelity_up_to_phase(layout22):
     st = build_global_singlet(layout22)
-    rotated = StateVector(layout22, np.exp(0.7j) * st.amplitudes)
-    assert abs(np.vdot(st.amplitudes, rotated.amplitudes)) == pytest.approx(1.0, abs=1e-14)
+    assert abs(np.vdot(st, np.exp(0.7j) * st)) == pytest.approx(1.0, abs=1e-14)
 
 
 def test_born_sample_statistics():
     lay = build_layout(LatticeGeometry(1, 2), 3)
-    amp = np.zeros(lay.total_dim, dtype=complex)
-    amp[:3] = 1.0 / np.sqrt(3)  # fermions empty, link uniform over its 3 states
-    st = StateVector(lay, amp)
+    index = np.arange(3)        # fermions empty, link uniform over its 3 states
+    amp = np.full(3, 1.0 / np.sqrt(3), dtype=complex)
     shots = 3000
-    digits = born_sample(st, np.random.default_rng(11), shots)
+    digits = born_sample(lay, index, amp, np.random.default_rng(11), shots)
     assert digits.shape == (shots, 3)
     assert np.all(digits[:, :2] == 0)
     freqs = np.bincount(digits[:, 2], minlength=3) / shots
     # 4 sigma band around the uniform probability
     assert np.abs(freqs - 1.0 / 3.0).max() < 0.0344
     # same seed, same draw
-    again = born_sample(st, np.random.default_rng(11), shots)
+    again = born_sample(lay, index, amp, np.random.default_rng(11), shots)
     assert np.array_equal(digits, again)
     with pytest.raises(ValueError):
-        born_sample(st, np.random.default_rng(0), 0)
+        born_sample(lay, index, amp, np.random.default_rng(0), 0)

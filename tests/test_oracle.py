@@ -81,7 +81,7 @@ def test_energy_is_conserved(layout22, cpl1):
     h = total_hamiltonian(layout22, cpl1)
     ev = ExactEvolver(h)
     st = build_global_singlet(layout22)
-    phys = project_ancillas(st.amplitudes, layout22)
+    phys = project_ancillas(st, layout22)
     e0 = np.vdot(phys, h @ phys).real
     out = ev.evolve(2.3, phys)
     e1 = np.vdot(out, h @ out).real

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_global_singlet, embed_physical, probabilities
+from conftest import build_global_singlet, dense_weights, embed_physical
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
@@ -20,7 +20,6 @@ import zngauge.lattice as lattice_module
 import zngauge.schedule as schedule_module
 from zngauge.lattice import (
     LatticeGeometry,
-    StateVector,
     block_group,
     _sector_dims,
     build_layout,
@@ -30,13 +29,13 @@ from zngauge.lattice import (
     project_ancillas,
     run_gates,
     singlet_support,
+    total_fermion_number,
 )
 from zngauge.schedule import (
     Schedule,
     _substep_ranges,
     compile_step,
     dump_schedule,
-    execute,
     execute_array,
     execute_sector,
     execute_support,
@@ -45,7 +44,6 @@ from zngauge.schedule import (
     schedule_physical_map,
     solve_vertex_potential,
     spurious_phase_field,
-    total_fermion_number,
 )
 from zngauge.stators import COLLISION_ANGLE, GateOp, gate_matrix
 
@@ -259,35 +257,35 @@ def test_repeated_execute_matches_powered_map(layout22, cpl1):
     singlet = build_global_singlet(layout22)
     state = singlet
     for _ in range(3):
-        state = execute(sched, state)
-    phys0 = project_ancillas(singlet.amplitudes, layout22)
+        state = execute_array(sched, state)
+    phys0 = project_ancillas(singlet, layout22)
     want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ phys0
-    got = project_ancillas(state.amplitudes, layout22)
+    got = project_ancillas(state, layout22)
     assert np.abs(got - want).max() < 1e-11
 
 
 def test_total_fermion_number_on_singlet(layout22):
     singlet = build_global_singlet(layout22)
-    assert total_fermion_number(layout22, probabilities(singlet)) == pytest.approx(2.0)
+    assert total_fermion_number(layout22, *dense_weights(singlet)) == pytest.approx(2.0)
 
 
 def test_total_fermion_number_matches_a_loop_over_basis_states():
     layout = build_layout(LatticeGeometry(3, 2), 3, "shared")
     rng = np.random.default_rng(29)
     amp = rng.normal(size=layout.total_dim) + 1j * rng.normal(size=layout.total_dim)
-    st = StateVector(layout, amp / np.linalg.norm(amp))
+    st = amp / np.linalg.norm(amp)
     fermions = [i for i, r in enumerate(layout.registers) if r.kind == "fermion"]
-    probs = (np.abs(st.amplitudes) ** 2).tolist()
+    probs = (np.abs(st) ** 2).tolist()
     expected = sum(prob * sum(digits[i] for i in fermions)
                    for prob, digits in zip(probs, np.ndindex(*layout.dims)))
-    got = total_fermion_number(layout, probabilities(st))
+    got = total_fermion_number(layout, *dense_weights(st))
     assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
 def test_execute_rejects_layout_mismatch(sched_cho1):
     other = build_layout(LatticeGeometry(3, 2), 3)
-    with pytest.raises(ValueError):
-        execute(sched_cho1, build_global_singlet(other))
+    with pytest.raises(ValueError, match="do not fit"):
+        execute_array(sched_cho1, build_global_singlet(other))
 
 
 def test_modes_agree_on_a_wider_lattice():
@@ -299,10 +297,10 @@ def test_modes_agree_on_a_wider_lattice():
     for policy in ("per_plaquette", "shared"):
         lay = build_layout(LatticeGeometry(3, 2), 3, ancilla_policy=policy)
         phys = random_gauge_invariant_physical(lay, rng)
-        st = StateVector(lay, lift_physical(phys, lay))
-        out_cho = execute(compile_step(lay, cpl, TAU, "choreography", 1), st)
-        out_dir = execute(compile_step(lay, cpl, TAU, "direct", 1), st)
-        assert abs(np.vdot(out_cho.amplitudes, out_dir.amplitudes)) > 1 - 1e-12, policy
+        st = lift_physical(phys, lay)
+        out_cho = execute_array(compile_step(lay, cpl, TAU, "choreography", 1), st)
+        out_dir = execute_array(compile_step(lay, cpl, TAU, "direct", 1), st)
+        assert abs(np.vdot(out_cho, out_dir)) > 1 - 1e-12, policy
 
 
 def test_dump_parse_round_trip(sched_cho1, layout22):
@@ -458,7 +456,7 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
     monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
     schedule_module._member.cache_clear()   # members built from the honest gates
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
-    amp = build_global_singlet(layout22).amplitudes
+    amp = build_global_singlet(layout22)
     with pytest.raises(ValueError, match=message):
         execute_array(sched, amp)
 
@@ -468,7 +466,7 @@ def test_fused_executor_rejects_bad_targets(layout22, targets, message):
     op = GateOp("dft_link", tuple(int(t) for t in targets.split(",")), (), 1)
     sched = Schedule(layout22, (op,), ())
     with pytest.raises(ValueError, match=message):
-        execute_array(sched, build_global_singlet(layout22).amplitudes)
+        execute_array(sched, build_global_singlet(layout22))
 
 
 def test_substep_ranges_reject_a_split_window():
@@ -635,4 +633,4 @@ def test_packed_map_rejects_a_gate_that_moves_a_fermion(layout22, cpl1, monkeypa
     with pytest.raises(ValueError, match="fermion number"):
         schedule_physical_map(sched)
     with pytest.raises(ValueError, match="fermion number"):
-        execute_array(sched, build_global_singlet(layout22).amplitudes)
+        execute_array(sched, build_global_singlet(layout22))
