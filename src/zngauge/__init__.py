@@ -2,15 +2,14 @@
 
 Desk-scale reference implementation on small 2d lattices with staggered
 fermions, clock-model links, and ancilla registers: the stator-based gate
-schedules that realize one Trotter step, run on dense arrays or on a
-state's support (its full-space basis indices and their amplitudes),
-where its observables and samples are read, plus the optical-lattice
-design utilities.
+schedules that realize one Trotter step, run per fermion-number sector on
+dense batches (the physical-space maps) or on a state's support (its
+full-space basis indices and their amplitudes, where its observables and
+samples are read), plus the optical-lattice design utilities.
 """
 
 from .lattice import (LatticeGeometry, Register, RegisterLayout, born_sample,
-                      build_layout, lift_physical, marginals, project_ancillas,
-                      singlet_support, total_fermion_number)
+                      build_layout, marginals, singlet_support, total_fermion_number)
 from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
                       gauss_law_operator, make_link_algebra,
                       random_gauge_invariant_physical, term_matrix,
@@ -18,8 +17,8 @@ from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
 from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
-from .schedule import (Schedule, compile_step, dump_schedule, execute_array,
-                       execute_sector, execute_support, gauge_away_phases,
+from .schedule import (Schedule, compile_step, dump_schedule, execute_sector,
+                       execute_support, gauge_away_phases,
                        schedule_physical_map, solve_vertex_potential,
                        spurious_phase_field)
 from .oracle import (ExactEvolver, diamond_surrogate_distance, steps_required,

@@ -293,17 +293,21 @@ def gauss_law_operator(layout: RegisterLayout, vertex: Vertex) -> dict[int, np.n
     return factors
 
 
-def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[list[int], np.ndarray]:
-    """Sorted support of Theta(vertex) and the diagonal of Theta on it.
+# a handful of layouts per process, one entry per vertex of each
+@lru_cache(maxsize=256)
+def _gauss_diagonal(layout: RegisterLayout, vertex: Vertex) -> tuple[tuple[int, ...], np.ndarray]:
+    """Sorted support of Theta(vertex) and the read-only diagonal of Theta
+    on it, built once per layout and vertex.
 
     Every Gauss factor is diagonal; a non-diagonal one raises ValueError.
     """
     factors = gauss_law_operator(layout, vertex)
-    support = sorted(factors)
+    support = tuple(sorted(factors))
     target, diag = monomial_map([layout.registers[i].dim for i in support],
                                 {k: factors[i] for k, i in enumerate(support)})
     if np.any(target != np.arange(target.size)):
         raise ValueError(f"Gauss factor at vertex {vertex} is not diagonal")
+    diag.setflags(write=False)
     return support, diag
 
 

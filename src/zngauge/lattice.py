@@ -148,6 +148,11 @@ class RegisterLayout:
     def physical_dim(self) -> int:
         return math.prod(self.physical_dims)
 
+    @property
+    def ancilla_dim(self) -> int:
+        """Joint dimension A of the ancilla registers, which come last."""
+        return self.total_dim // self.physical_dim
+
     def index_of(self, kind: str, site) -> int:
         for i, r in enumerate(self.registers):
             if r.kind == kind and r.site == site:
@@ -284,10 +289,10 @@ def singlet_support(layout: RegisterLayout) -> tuple[int, np.ndarray, np.ndarray
     v = len(vertices)
     n = singlet_fermion_number(layout)
     filled = sum(1 << (v - 1 - i) for i, x in enumerate(vertices) if not is_even(x))
-    ancillas = lift_physical(np.ones(1, dtype=np.complex128), layout)
+    anc = layout.ancilla_dim
     row = int(np.searchsorted(_sector(v, n), filled))
-    index = row * (layout.total_dim >> v) + np.arange(ancillas.size)
-    return n, index, ancillas
+    index = row * (layout.total_dim >> v) + np.arange(anc)
+    return n, index, np.full(anc, 1 / math.sqrt(anc), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -537,45 +542,12 @@ def _run_starts(values: np.ndarray) -> np.ndarray:
     return new
 
 
-def project_ancillas(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Contract each ancilla axis with <in~|, returning physical amplitudes.
-
-    The ancillas are the trailing registers, so the leading size is free:
-    a full state gives physical amplitudes, a sector's amplitudes give that
-    sector's.  Accepts a trailing batch axis; the result has the ancilla
-    axes removed.
-    """
-    batch_shape = amplitudes.shape[1:]
-    anc = [layout.registers[i].dim for i in layout.ancilla_indices()]
-    work = amplitudes.reshape((-1, *anc) + batch_shape)
-    for i in range(len(anc), 0, -1):
-        d = anc[i - 1]
-        work = np.tensordot(work, np.ones(d) / np.sqrt(d), axes=([i], [0]))
-    return work.reshape((-1,) + batch_shape)
-
-
-def lift_physical(amplitudes: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Tensor physical amplitudes with |in~> on every ancilla register.
-
-    Inverse of project_ancillas on the restored-ancilla subspace; like it,
-    takes any leading size and a trailing batch axis.
-    """
-    batch_shape = amplitudes.shape[1:]
-    anc = [layout.registers[i].dim for i in layout.ancilla_indices()]
-    work = amplitudes.reshape((-1,) + batch_shape)
-    for i, d in enumerate(anc, start=1):
-        shape = [1] * (work.ndim + 1)
-        shape[i] = d
-        work = np.expand_dims(work, i) * (np.ones(d) / np.sqrt(d)).reshape(shape)
-    return work.reshape((-1,) + batch_shape)
-
-
 def project_support(layout: RegisterLayout, index: np.ndarray,
                     amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`project_ancillas` of a state given on ascending full-space basis
-    indices: the physical indices it reaches, ascending, and the physical
-    amplitudes there."""
-    anc = math.prod(layout.registers[i].dim for i in layout.ancilla_indices())
+    """A state on ascending full-space basis indices, its ancillas contracted
+    with <in~|, the uniform vector over their A joint values (the trailing
+    digits): the physical indices it reaches, ascending, and the amplitudes."""
+    anc = layout.ancilla_dim
     physical = index // anc
     starts = _run_starts(physical).nonzero()[0]
     return physical[starts], np.add.reduceat(amplitudes, starts) / math.sqrt(anc)

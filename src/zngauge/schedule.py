@@ -30,10 +30,9 @@ from .lattice import (
     _sector_dims,
     block_group,
     check_targets,
+    full_index,
     gate_group,
     is_even,
-    lift_physical,
-    project_ancillas,
     run_gates,
     run_support,
 )
@@ -519,52 +518,30 @@ def execute_support(schedule: Schedule, n: int, index: np.ndarray,
     return run_support(_plan(schedule, n), _sector_dims(schedule.layout, n), index, amplitudes)
 
 
-def execute_array(schedule: Schedule, amplitudes: np.ndarray,
-                  op_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Raw-array executor; trailing axes beyond the register dims are batch.
-
-    Every gate keeps the fermion number, and the fermions are the leading
-    registers, so the amplitudes split by the fermion configuration into
-    sectors of fixed occupation.  Each sector with an amplitude that is
-    not exactly zero is gathered, run by `execute_sector` and scattered
-    into a zero output; the input is never written.  ValueError if the
-    amplitudes do not run over the schedule's layout.
-    """
-    if amplitudes.shape[0] != schedule.layout.total_dim:
-        raise ValueError(f"amplitudes over {amplitudes.shape[0]} basis states do not fit "
-                         f"the schedule's layout of {schedule.layout.total_dim}")
-    v = len(schedule.layout.geometry.vertices)
-    rows = amplitudes.reshape(2 ** v, -1)
-    populated = rows.any(axis=1)
-    out = np.zeros(rows.shape, dtype=np.complex128)
-    for n in range(v + 1):
-        index = _sector(v, n)
-        if populated[index].any():
-            sector = rows[index].reshape((-1,) + amplitudes.shape[1:])
-            out[index] = execute_sector(schedule, n, sector, op_range).reshape(index.size, -1)
-    return out.reshape(amplitudes.shape)
-
-
 def schedule_physical_map(schedule: Schedule,
                           op_range: tuple[int, int] | None = None) -> np.ndarray:
     """Dense physical-space matrix of (a slice of) the schedule.
 
-    Ancillas enter in |in~> and are projected back onto |in~> at the end,
+    Ancillas enter in |in~>, the uniform vector over their A joint values
+    (the trailing digits), and are projected back onto it at the end,
     which is exact whenever the slice restores them (every substep does).
 
     Every gate keeps the fermion number, so the map is block diagonal in
     the sectors: each sector's block is its own plan run on that sector's
-    identity columns, and every entry between two sectors is an exact zero.
+    identity columns, each entry repeated A times over sqrt(A), with each
+    run of A output rows summed over sqrt(A); every entry between two
+    sectors is an exact zero.
     """
     layout = schedule.layout
-    v = len(layout.geometry.vertices)
-    links = layout.physical_dim // 2 ** v
+    anc = layout.ancilla_dim
     full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
-    for n in range(v + 1):
-        rows = (_sector(v, n)[:, None] * links + np.arange(links)).ravel()
-        columns = lift_physical(np.eye(rows.size, dtype=np.complex128), layout)
-        block = project_ancillas(execute_sector(schedule, n, columns, op_range), layout)
-        full[np.ix_(rows, rows)] = block
+    for n in range(len(layout.geometry.vertices) + 1):
+        k = math.prod(_sector_dims(layout, n)) // anc
+        rows = full_index(layout, n, np.arange(k) * anc) // anc
+        columns = np.repeat(np.eye(k, dtype=np.complex128) / math.sqrt(anc), anc, axis=0)
+        # projected in one expression: no sector's output outlives its block
+        full[np.ix_(rows, rows)] = (execute_sector(schedule, n, columns, op_range)
+                                    .reshape(k, anc, k).sum(axis=1) / math.sqrt(anc))
     return full
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import (LatticeGeometry, build_layout, full_index, gate_group, run_gates,
-                             singlet_support)
+from zngauge.lattice import (LatticeGeometry, _sector_dims, build_layout, full_index, gate_group,
+                             project_support, run_gates, singlet_support)
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,34 @@ def build_global_singlet(layout):
     amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
     amplitudes[full_index(layout, n, index)] = values
     return amplitudes
+
+
+def singlet_sector(layout):
+    """The global singlet's fermion number n and its dense amplitudes over sector n."""
+    n, index, values = singlet_support(layout)
+    amplitudes = np.zeros(np.prod(_sector_dims(layout, n)), dtype=np.complex128)
+    amplitudes[index] = values
+    return n, amplitudes
+
+
+def physical_amplitudes(layout, index, amplitudes):
+    """Dense physical amplitudes of a state on ascending full-space indices,
+    its ancillas projected onto |in~>."""
+    physical, projected = project_support(layout, index, amplitudes)
+    out = np.zeros(layout.physical_dim, dtype=np.complex128)
+    out[physical] = projected
+    return out
+
+
+def physical_singlet(layout):
+    """The global singlet's physical amplitudes."""
+    n, index, values = singlet_support(layout)
+    return physical_amplitudes(layout, full_index(layout, n, index), values)
+
+
+def lift(layout, physical):
+    """Physical amplitudes (rows; trailing axes are batch) with |in~> on the ancillas."""
+    return np.repeat(physical, layout.ancilla_dim, axis=0) / np.sqrt(layout.ancilla_dim)
 
 
 def dense_weights(amplitudes):

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, embed_on, embed_physical, taylor_expm
+from conftest import embed_on, embed_physical, physical_singlet, taylor_expm
 from zngauge.algebra import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -22,11 +22,7 @@ from zngauge.algebra import (
 )
 from zngauge.config import SimulationConfig
 from zngauge.drivers import run_quench
-from zngauge.lattice import (
-    LatticeGeometry,
-    build_layout,
-    project_ancillas,
-)
+from zngauge.lattice import LatticeGeometry, build_layout
 from zngauge.optical import polarization_vectors, v_mat_minima
 from zngauge.oracle import (
     ExactEvolver,
@@ -88,7 +84,7 @@ def u_dir01(layout22, cpl1):
 
 @pytest.fixture(scope="module")
 def phys0(layout22):
-    return project_ancillas(build_global_singlet(layout22), layout22)
+    return physical_singlet(layout22)
 
 
 def commutator_norm(w: np.ndarray, theta: np.ndarray) -> float:

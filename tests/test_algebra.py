@@ -5,7 +5,7 @@ import pytest
 
 import zngauge.algebra as algebra_module
 from conftest import (apply_factors, brute_force_term, build_global_singlet, dense_weights,
-                      embed_physical, taylor_expm, term_support)
+                      embed_physical, physical_singlet, taylor_expm, term_support)
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
@@ -27,12 +27,7 @@ from zngauge.algebra import (
     term_matrix,
     total_hamiltonian,
 )
-from zngauge.lattice import (
-    LatticeGeometry,
-    build_layout,
-    lift_physical,
-    project_ancillas,
-)
+from zngauge.lattice import LatticeGeometry, build_layout
 
 
 def test_symmetric_representatives_frozen():
@@ -291,8 +286,9 @@ def test_gauge_projector_is_idempotent(layout22):
     np.testing.assert_allclose(once, twice, atol=1e-11)
     inv = random_gauge_invariant_physical(layout22, rng)
     assert np.linalg.norm(inv) == pytest.approx(1.0, abs=1e-12)
-    st = lift_physical(inv, layout22)
-    for val in gauss_expectations(layout22, *dense_weights(st)).values():
+    # read at the full-space indices of ancilla digit 0
+    index = np.arange(layout22.physical_dim) * layout22.ancilla_dim
+    for val in gauss_expectations(layout22, index, np.abs(inv) ** 2).values():
         assert abs(val - 1.0) < 1e-10
 
 
@@ -438,8 +434,7 @@ def test_magnetic_spectrum_matches_flux_cosine(layout22, cpl1):
 def test_mass_term_counts_staggered_charge(layout22):
     cpl = Couplings(mass=0.7)
     m = term_matrix(layout22, "M", cpl)
-    st = build_global_singlet(layout22)
-    phys = project_ancillas(st, layout22)
+    phys = physical_singlet(layout22)
     energy = np.vdot(phys, m @ phys).real
     # two occupied odd vertices at staggered sign -1 each
     assert energy == pytest.approx(-1.4, abs=1e-12)
@@ -483,6 +478,7 @@ def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
         return factors
 
     monkeypatch.setattr(algebra_module, "gauss_law_operator", skewed)
+    algebra_module._gauss_diagonal.cache_clear()   # diagonals built from the honest factors
     with pytest.raises(ValueError, match="not diagonal"):
         gauss_expectations(layout22, *dense_weights(build_global_singlet(layout22)))
 
@@ -493,3 +489,12 @@ def test_link_algebra_is_cached_and_read_only():
     for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q, alg.f_z):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
+
+
+def test_gauss_diagonals_are_cached_and_read_only(layout22):
+    for v in layout22.geometry.vertices:
+        support, diag = algebra_module._gauss_diagonal(layout22, v)
+        assert algebra_module._gauss_diagonal(layout22, v)[1] is diag
+        assert isinstance(support, tuple)
+        with pytest.raises(ValueError):
+            diag[0] = 0.0

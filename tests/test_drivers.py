@@ -7,11 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, dense_weights
+from conftest import build_global_singlet, dense_weights, physical_amplitudes, singlet_sector
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.lattice as lattice
 import zngauge.oracle as oracle
+import zngauge.schedule as schedule
+from zngauge import cli
 from zngauge.algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                              make_link_algebra)
 from zngauge.config import SimulationConfig
@@ -33,12 +35,11 @@ from zngauge.lattice import (
     build_layout,
     full_index,
     gate_group,
-    project_ancillas,
     run_gates,
     singlet_support,
     total_fermion_number,
 )
-from zngauge.schedule import compile_step, execute_array, execute_support
+from zngauge.schedule import compile_step, execute_sector, execute_support
 
 EXPECTED_CHECKS = [
     "algebra_closure",
@@ -153,25 +154,26 @@ def test_quench_row_contents(tmp_path):
 
 
 def full_space_observables(config):
-    """Per step, run_quench's observables from a full-space loop: `execute_array`
-    on the singlet's full-space amplitudes and the observables read at every
-    basis index."""
+    """Per step, run_quench's observables from a dense loop: `execute_sector` on
+    the singlet's amplitudes over its whole sector, and the observables read
+    at the full-space index of every basis state of the sector."""
     layout = config.build_geometry()
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
                          theta=config.theta, theta_prime=config.theta_prime)
-    state = build_global_singlet(layout)
+    n, state = singlet_sector(layout)
+    full = full_index(layout, n, np.arange(state.size))
     evolver = None
     if layout.physical_dim <= oracle.ORACLE_DIM_LIMIT:
         evolver = oracle.ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
-        phys0 = project_ancillas(state, layout)
+        phys0 = physical_amplitudes(layout, full, state)
     out = []
     for k in range(1, config.n_steps + 1):
-        state = execute_array(sched, state)
-        probs = dense_weights(state)
+        state = execute_sector(sched, n, state)
+        probs = full, np.abs(state) ** 2
         gauss = gauss_expectations(layout, *probs)
-        physical = project_ancillas(state, layout)
+        physical = physical_amplitudes(layout, full, state)
         want = {"gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
                 "fermion_number": total_fermion_number(layout, *probs),
                 "ancilla_restoration": np.linalg.norm(physical)}
@@ -252,6 +254,36 @@ def test_verification_suite_all_green(verify_run):
     assert all_pass, failures
     for c in checks:
         assert c.residual < c.threshold
+
+
+def test_verify_reports_a_substep_that_leaves_its_ancilla(monkeypatch, capsys, request):
+    """With dft_anc_dag replaced by the identity, the choreography substeps no
+    longer return their ancilla to |in~>: `verify` reports ancilla_restoration
+    as FAIL and exits 1 instead of raising."""
+    honest = schedule._cached_gate
+
+    def broken(name, params, dims):
+        if name == "dft_anc_dag":
+            return np.eye(dims[0], dtype=np.complex128)
+        return honest(name, params, dims)
+
+    monkeypatch.setattr(schedule, "_cached_gate", broken)
+    schedule._member.cache_clear()   # members built from the honest gates
+    request.addfinalizer(schedule._member.cache_clear)   # and those from the broken one
+    results = []
+    suite = cli.run_verification_suite
+
+    def spy(*args):
+        results.append(suite(*args))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run_verification_suite", spy)
+    assert cli.main(["verify"]) == 1
+    ((all_pass, checks),) = results
+    assert not all_pass
+    assert not {c.name: c.passed for c in checks}["ancilla_restoration"]
+    out = capsys.readouterr().out
+    assert "[FAIL] ancilla_restoration" in out and out.strip().endswith("overall: FAIL")
 
 
 def test_verification_suite_files(verify_run):

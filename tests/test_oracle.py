@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 import zngauge.oracle as oracle
-from conftest import build_global_singlet, taylor_expm
+from conftest import physical_singlet, taylor_expm
 from zngauge.algebra import (TERM_NAMES, Couplings, as_edges, expm_from_hermitian,
                              hamiltonian_edges, term_matrix, total_hamiltonian)
-from zngauge.lattice import project_ancillas
 from zngauge.oracle import (
     ExactEvolver,
     bound_validity,
@@ -80,8 +79,7 @@ def test_propagator_against_taylor():
 def test_energy_is_conserved(layout22, cpl1):
     h = total_hamiltonian(layout22, cpl1)
     ev = ExactEvolver(h)
-    st = build_global_singlet(layout22)
-    phys = project_ancillas(st, layout22)
+    phys = physical_singlet(layout22)
     e0 = np.vdot(phys, h @ phys).real
     out = ev.evolve(2.3, phys)
     e1 = np.vdot(out, h @ out).real

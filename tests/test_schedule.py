@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_global_singlet, dense_weights, embed_physical
+from conftest import (build_global_singlet, dense_weights, embed_physical, lift,
+                      physical_amplitudes, physical_singlet, singlet_sector)
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
@@ -21,12 +22,13 @@ import zngauge.schedule as schedule_module
 from zngauge.lattice import (
     LatticeGeometry,
     block_group,
+    _sector,
     _sector_dims,
     build_layout,
+    full_index,
     gate_group,
     is_even,
-    lift_physical,
-    project_ancillas,
+    project_support,
     run_gates,
     singlet_support,
     total_fermion_number,
@@ -36,7 +38,6 @@ from zngauge.schedule import (
     _substep_ranges,
     compile_step,
     dump_schedule,
-    execute_array,
     execute_sector,
     execute_support,
     plaquette_curl,
@@ -252,15 +253,20 @@ def test_non_gradient_field_raises(layout22):
         gauge_away_phases(layout22, {(0, 0): 0.0})
 
 
+def sector_rows(layout, amplitudes, n):
+    """The rows of full-space amplitudes (trailing axes are batch) in sector n."""
+    v = len(layout.geometry.vertices)
+    rows = amplitudes.reshape((2 ** v, -1) + amplitudes.shape[1:])
+    return rows[_sector(v, n)].reshape((-1,) + amplitudes.shape[1:])
+
+
 def test_repeated_execute_matches_powered_map(layout22, cpl1):
     sched = compile_step(layout22, cpl1, 0.1, "choreography", 1)
-    singlet = build_global_singlet(layout22)
-    state = singlet
+    n, state = singlet_sector(layout22)
     for _ in range(3):
-        state = execute_array(sched, state)
-    phys0 = project_ancillas(singlet, layout22)
-    want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ phys0
-    got = project_ancillas(state, layout22)
+        state = execute_sector(sched, n, state)
+    want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ physical_singlet(layout22)
+    got = physical_amplitudes(layout22, full_index(layout22, n, np.arange(state.size)), state)
     assert np.abs(got - want).max() < 1e-11
 
 
@@ -282,12 +288,6 @@ def test_total_fermion_number_matches_a_loop_over_basis_states():
     assert got == pytest.approx(expected, rel=0, abs=1e-12)
 
 
-def test_execute_rejects_layout_mismatch(sched_cho1):
-    other = build_layout(LatticeGeometry(3, 2), 3)
-    with pytest.raises(ValueError, match="do not fit"):
-        execute_array(sched_cho1, build_global_singlet(other))
-
-
 def test_modes_agree_on_a_wider_lattice():
     """3x2 lattice, both ancilla policies: the collision-based choreography
     and the direct product formula move a random gauge-invariant state to
@@ -296,11 +296,14 @@ def test_modes_agree_on_a_wider_lattice():
     cpl = Couplings()
     for policy in ("per_plaquette", "shared"):
         lay = build_layout(LatticeGeometry(3, 2), 3, ancilla_policy=policy)
-        phys = random_gauge_invariant_physical(lay, rng)
-        st = lift_physical(phys, lay)
-        out_cho = execute_array(compile_step(lay, cpl, TAU, "choreography", 1), st)
-        out_dir = execute_array(compile_step(lay, cpl, TAU, "direct", 1), st)
-        assert abs(np.vdot(out_cho, out_dir)) > 1 - 1e-12, policy
+        st = lift(lay, random_gauge_invariant_physical(lay, rng))
+        cho = compile_step(lay, cpl, TAU, "choreography", 1)
+        direct = compile_step(lay, cpl, TAU, "direct", 1)
+        overlap = 0.0
+        for n in range(len(lay.geometry.vertices) + 1):
+            part = sector_rows(lay, st, n)
+            overlap += np.vdot(execute_sector(cho, n, part), execute_sector(direct, n, part))
+        assert abs(overlap) > 1 - 1e-12, policy
 
 
 def test_dump_parse_round_trip(sched_cho1, layout22):
@@ -317,15 +320,16 @@ def test_compile_is_deterministic(layout22, cpl1, sched_cho1):
     assert again.substeps == sched_cho1.substeps
 
 
-def test_execute_array_slicing_matches_manual(sched_dir1, layout22):
+def test_sector_slicing_matches_manual(sched_dir1, layout22):
     rng = np.random.default_rng(13)
     amp = rng.normal(size=layout22.total_dim) + 1j * rng.normal(size=layout22.total_dim)
     amp /= np.linalg.norm(amp)
-    whole = execute_array(sched_dir1, amp)
-    parts = amp
-    for _, lo, hi in sched_dir1.substeps:
-        parts = execute_array(sched_dir1, parts, (lo, hi))
-    assert np.abs(whole - parts).max() < 1e-12
+    for n in range(5):
+        part = sector_rows(layout22, amp, n)
+        whole = execute_sector(sched_dir1, n, part)
+        for _, lo, hi in sched_dir1.substeps:
+            part = execute_sector(sched_dir1, n, part, (lo, hi))
+        assert np.abs(whole - part).max() < 1e-12
 
 
 def reference_execute(sched, amplitudes, op_range=None):
@@ -350,30 +354,28 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     rng = np.random.default_rng(21)
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
     amp /= np.linalg.norm(amp)
-    saved = amp.copy()
+    sectors = range(len(lay.geometry.vertices) + 1)
 
-    # every substep slice, chained: the slices tile the step, so the chain
-    # also yields the reference for the whole step
+    # every substep slice in every sector, chained: the slices tile the
+    # step, so the chain also yields the reference for the whole step
     want = amp
     for _, lo, hi in sched.substeps:
-        got = execute_array(sched, want, (lo, hi))
-        want = reference_execute(sched, want, (lo, hi))
-        assert np.abs(got - want).max() <= 1e-12
-    assert np.abs(execute_array(sched, amp) - want).max() <= 1e-12
-    assert np.array_equal(amp, saved)
+        before, want = want, reference_execute(sched, want, (lo, hi))
+        for n in sectors:
+            got = execute_sector(sched, n, sector_rows(lay, before, n), (lo, hi))
+            assert np.abs(got - sector_rows(lay, want, n)).max() <= 1e-12
+    for n in sectors:
+        part = sector_rows(lay, amp, n)
+        saved = part.copy()
+        assert np.abs(execute_sector(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
+        assert np.array_equal(part, saved)
 
-    # the physical-map batch (3x2 has no feasible one: 139968 columns),
-    # checked on every 97th column
-    if geo != (2, 2):
-        return
-    batch = lift_physical(np.eye(lay.physical_dim, dtype=np.complex128), lay)
-    cols = np.arange(0, lay.physical_dim, 97)
-    saved = batch.copy()
-    got = execute_array(sched, batch)
-    assert got.shape == batch.shape
-    assert np.array_equal(batch, saved)
-    want = reference_execute(sched, batch[:, cols])
-    assert np.abs(got[:, cols] - want).max() <= 1e-12
+    # the physical map (3x2 has no feasible one: 139968 columns), checked
+    # on every 97th column
+    if geo == (2, 2):
+        cols = np.arange(0, lay.physical_dim, 97)
+        got = schedule_physical_map(sched)[:, cols]
+        assert np.abs(got - column_map(sched, cols)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("geo, n_link, policy, mode", [
@@ -383,9 +385,8 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     ((3, 2), 3, "shared", "choreography")])
 @pytest.mark.parametrize("span", ["one", "two", "all"])
 def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
-    """A state on one, two or every fermion-number sector: the sector plans
-    match the gate-by-gate loop, the empty sectors stay exact zeros, and a
-    one-sector state builds one plan."""
+    """A state on one, two or every fermion-number sector: on each of its
+    sectors the sector plan matches the gate-by-gate loop."""
     lay = build_layout(LatticeGeometry(*geo), n_link, ancilla_policy=policy)
     v = len(lay.geometry.vertices)
     sectors = {"one": [v // 2], "two": [0, v // 2 + 1], "all": list(range(v + 1))}[span]
@@ -395,14 +396,13 @@ def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
     amp = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     amp[~inside] = 0
     amp = (amp / np.linalg.norm(amp)).ravel()
-    saved = amp.copy()
     sched = compile_step(lay, Couplings(), 0.4, mode, 1)
-    got = execute_array(sched, amp)
-    assert np.array_equal(amp, saved)
-    assert np.abs(got - reference_execute(sched, amp)).max() <= 1e-12
-    outside = got.reshape(shape)[~inside]
-    assert np.array_equal(outside, np.zeros_like(outside))
-    assert len(sched._plans) == len(sectors)
+    want = reference_execute(sched, amp)
+    for n in sectors:
+        part = sector_rows(lay, amp, n)
+        saved = part.copy()
+        assert np.abs(execute_sector(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
+        assert np.array_equal(part, saved)
 
 
 @pytest.mark.parametrize("geo", [(2, 2), (3, 2)])
@@ -456,9 +456,9 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
     monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
     schedule_module._member.cache_clear()   # members built from the honest gates
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
-    amp = build_global_singlet(layout22)
+    n, amp = singlet_sector(layout22)
     with pytest.raises(ValueError, match=message):
-        execute_array(sched, amp)
+        execute_sector(sched, n, amp)
 
 
 @pytest.mark.parametrize("targets, message", [("99", "out of range"), ("4,4", "repeated")])
@@ -466,7 +466,7 @@ def test_fused_executor_rejects_bad_targets(layout22, targets, message):
     op = GateOp("dft_link", tuple(int(t) for t in targets.split(",")), (), 1)
     sched = Schedule(layout22, (op,), ())
     with pytest.raises(ValueError, match=message):
-        execute_array(sched, build_global_singlet(layout22))
+        execute_sector(sched, *singlet_sector(layout22))
 
 
 def test_substep_ranges_reject_a_split_window():
@@ -565,11 +565,13 @@ def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
 
 
-def column_map(sched, op_range=None):
-    """The physical map pushed through the executor one basis column at a time."""
+def column_map(sched, cols, op_range=None):
+    """Columns `cols` of the physical map: the gate-by-gate loop on the basis
+    columns with the ancillas in |in~>, then projected back onto it."""
     lay = sched.layout
-    eye = lift_physical(np.eye(lay.physical_dim, dtype=np.complex128), lay)
-    return project_ancillas(execute_array(sched, eye, op_range), lay)
+    columns = lift(lay, np.eye(lay.physical_dim, dtype=np.complex128)[:, cols])
+    return project_support(lay, np.arange(lay.total_dim),
+                           reference_execute(sched, columns, op_range))[1]
 
 
 def cross_sector(lay):
@@ -581,11 +583,15 @@ def cross_sector(lay):
 
 
 def check_packed_map(sched, op_range=None):
+    """Against the gate loop on every column, or on every 97th of 2x2's 1296,
+    whose gate loop costs seconds per map."""
     got = schedule_physical_map(sched, op_range)
-    want = column_map(sched, op_range)
-    assert np.abs(got - want).max() <= 1e-14
+    dim = sched.layout.physical_dim
+    cols = np.arange(0, dim, 97 if dim > 1000 else 1)
+    want = column_map(sched, cols, op_range)
+    assert np.abs(got[:, cols] - want).max() <= 1e-14
     cross = cross_sector(sched.layout)
-    assert not got[cross].any() and not want[cross].any()
+    assert not got[cross].any() and not want[cross[:, cols]].any()
 
 
 @pytest.mark.parametrize("mode", ["choreography", "direct"])
@@ -633,4 +639,4 @@ def test_packed_map_rejects_a_gate_that_moves_a_fermion(layout22, cpl1, monkeypa
     with pytest.raises(ValueError, match="fermion number"):
         schedule_physical_map(sched)
     with pytest.raises(ValueError, match="fermion number"):
-        execute_array(sched, build_global_singlet(layout22))
+        execute_support(sched, *singlet_support(layout22))

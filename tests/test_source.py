@@ -87,10 +87,11 @@ def test_no_method_shares_a_name_with_numpy():
 
 
 def test_every_test_import_is_used():
-    """Each name a test or package module imports is read somewhere else in that
-    module; the package's __init__.py re-exports, and `annotations` is a future flag."""
+    """Each name a test, demo or package module imports is read somewhere else in
+    that module; the package's __init__.py re-exports, and `annotations` is a
+    future flag."""
     unused = []
-    modules = sorted((ROOT / "tests").glob("*.py"))
+    modules = sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     modules += [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
     for path in modules:
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_global_singlet, taylor_expm
-from zngauge.lattice import gate_group, project_ancillas, run_gates
+from zngauge.lattice import gate_group, project_support, run_gates
 from zngauge.stators import (
     COLLISION_ANGLE,
     GATE_VOCABULARY,
@@ -340,7 +340,7 @@ def test_stator_mediated_drive_on_full_register_set(layout22, alg3):
         return run_gates(groups, dims, singlet)
 
     def restored(amplitudes):
-        return np.linalg.norm(project_ancillas(amplitudes, layout22))
+        return np.linalg.norm(project_support(layout22, np.arange(amplitudes.size), amplitudes)[1])
 
     st = sandwich(alg3.q)
     assert restored(st) == pytest.approx(1.0, abs=1e-12)
