@@ -3,9 +3,10 @@
 Desk-scale reference implementation on small 2d lattices with staggered
 fermions, clock-model links, and ancilla registers: the stator-based gate
 schedules that realize one Trotter step, run per fermion-number sector on
-dense batches (the physical-space maps) or on a state's support (its
-full-space basis indices and their amplitudes, where its observables and
-samples are read), plus the optical-lattice design utilities.
+a state's support (its basis indices and their amplitudes; a quench's
+observables and samples read it at full-space indices, and a
+physical-space map runs its identity columns as one more register),
+plus the optical-lattice design utilities.
 """
 
 from .lattice import (LatticeGeometry, Register, RegisterLayout, born_sample,
@@ -17,10 +18,9 @@ from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
 from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)
-from .schedule import (Schedule, compile_step, dump_schedule, execute_sector,
-                       execute_support, gauge_away_phases,
-                       schedule_physical_map, solve_vertex_potential,
-                       spurious_phase_field)
+from .schedule import (Schedule, compile_step, dump_schedule, execute_support,
+                       gauge_away_phases, schedule_physical_map,
+                       solve_vertex_potential, spurious_phase_field)
 from .oracle import (ExactEvolver, diamond_surrogate_distance, steps_required,
                      trotter_bound)
 from .optical import (polarization_vectors, shaping_schedule, v_mat,

@@ -12,7 +12,7 @@ import dataclasses
 import sys
 
 from .config import SimulationConfig, load_config
-from .drivers import (run_compile, run_optical_scan, run_quench,
+from .drivers import (OPTICAL_ORTHOGONALITY_TOL, run_compile, run_optical_scan, run_quench,
                       run_trotter_scan, run_verification_suite)
 
 _SUBCOMMANDS = (
@@ -38,8 +38,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for CSV output and the run manifest")
         p.add_argument("--seed", type=int, metavar="INT",
                        help="override the config seed")
-        p.add_argument("--shots", type=int, default=0, metavar="INT",
-                       help="projective samples of the final state (quench only)")
+        if name == "quench":
+            p.add_argument("--shots", type=int, default=0, metavar="INT",
+                           help="projective samples of the final state")
     return parser
 
 
@@ -53,7 +54,7 @@ def _load(args: argparse.Namespace) -> SimulationConfig:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.shots < 0:
+        if args.command == "quench" and args.shots < 0:
             raise ValueError(f"--shots must be >= 0, got {args.shots}")
         config = _load(args)
     except (OSError, ValueError) as e:
@@ -109,7 +110,7 @@ def _run(args: argparse.Namespace, config: SimulationConfig) -> int:
         worst = max(r["max_cross_dot"] for r in rows if r["valid"])
         print(f"xi grid points: {len(rows)}, valid: {n_valid}, "
               f"worst cross dot on valid points: {worst:.3e}")
-        return 0 if worst < 1e-8 else 1
+        return 0 if worst < OPTICAL_ORTHOGONALITY_TOL else 1
 
     raise AssertionError(f"unhandled command {args.command!r}")
 

@@ -36,6 +36,7 @@ from .config import SimulationConfig
 
 SCAN_STEPS = (4, 8, 16, 32, 64)
 XI_GRID = tuple(float(x) for x in np.linspace(0.02, 0.30, 15))
+OPTICAL_ORTHOGONALITY_TOL = 1e-8   # polarization cross dots stay below this on valid points
 
 
 def _package_version() -> str:
@@ -349,7 +350,7 @@ def run_verification_suite(config: SimulationConfig,
             continue
         worst_o = max(worst_o, abs(float(np.dot(e1, e2))),
                       abs(float(np.dot(e1, e3))), abs(float(np.dot(e2, e3))))
-    checks.append(_check("optical_orthogonality", worst_o, 1e-8))
+    checks.append(_check("optical_orthogonality", worst_o, OPTICAL_ORTHOGONALITY_TOL))
 
     all_pass = all(c.passed for c in checks)
     if out_dir is not None:

@@ -369,70 +369,19 @@ def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateG
 def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarray:
     """Apply checked gate groups in order; trailing axes beyond `dims` are batch.
 
-    The input is never written.  The work happens in at most two complex
-    buffers the size of the input, and the array's stored axis order is
-    tracked instead of restored after every group:
-
-    - a group with A = 1 multiplies in place, broadcast over the stored axes;
-    - any other group copies the array with its controls, then its active
-      registers, leading into the spare buffer (skipped when they already
-      lead), then one stacked matmul of its blocks writes the other buffer;
-    - one final transpose copy restores register order, when needed.
+    Per group, one transpose brings its controls, then its active
+    registers, to the front, one stacked matmul applies its blocks (a
+    product when A = 1), and one transpose restores register order.  The
+    input is never written.
     """
-    shape = tuple(int(d) for d in dims)
-    if amplitudes.ndim > 1:
-        shape += (int(np.prod(amplitudes.shape[1:])),)
-    src = amplitudes.reshape(shape)
-    if not groups:
-        return np.array(amplitudes, dtype=np.complex128)
-    bufs = [None, None]
-
-    def buffer(i: int) -> np.ndarray:
-        if bufs[i] is None:
-            bufs[i] = np.empty(src.size, dtype=np.complex128)
-        return bufs[i]
-
-    order = list(range(len(shape)))   # logical axis at each stored position
-    cur, held = src, None              # held: index of the buffer holding cur
+    out = np.asarray(amplitudes, dtype=np.complex128).reshape(tuple(int(d) for d in dims) + (-1,))
     for g in groups:
-        stored = [shape[a] for a in order]
-        view = cur.reshape(stored)
-        home = 0 if held is None else held
-        c_pos = sorted(order.index(t) for t in g.controls)
-        pos = c_pos + sorted(order.index(t) for t in g.active)
-        lead = [order[p] for p in pos]        # controls, then active, in stored order
-        k, n_c = len(lead), len(c_pos)
-        tdims = [shape[t] for t in g.targets]
-        axes = [g.targets.index(t) for t in lead]
-        n_blk, a_dim = g.blocks.shape[:2]
-        if a_dim == 1:
-            bshape = [1] * len(order)
-            for p in c_pos:
-                bshape[p] = stored[p]
-            diag = g.blocks.reshape(tdims).transpose(axes).reshape(bshape)
-            cur = np.multiply(view, diag, out=buffer(home).reshape(stored))
-            held = home
-            continue
-        blocks = g.blocks
-        if axes != list(range(k)):
-            blocks = blocks.reshape(tdims + tdims[n_c:])
-            blocks = blocks.transpose(axes + [k + a - n_c for a in axes[n_c:]])
-            blocks = blocks.reshape(n_blk, a_dim, a_dim)
-        if pos == list(range(k)):
-            held = 1 - home
-        else:
-            rest = [p for p in range(len(order)) if p not in pos]
-            order = lead + [order[p] for p in rest]
-            moved = buffer(1 - home).reshape([shape[a] for a in order])
-            np.copyto(moved, view.transpose(pos + rest))
-            view, held = moved, home
-        cur = np.matmul(blocks, view.reshape(n_blk, a_dim, -1),
-                        out=buffer(held).reshape(n_blk, a_dim, -1))
-    if order != sorted(order):
-        out = buffer(1 - held).reshape(shape)
-        np.copyto(out, cur.reshape([shape[a] for a in order]).transpose(np.argsort(order)))
-        cur = out
-    return cur.reshape(amplitudes.shape)
+        order = list(g.targets) + [t for t in range(out.ndim) if t not in g.targets]
+        moved = out.transpose(order)
+        x = moved.reshape(g.blocks.shape[:2] + (-1,))
+        y = x * g.blocks if g.blocks.shape[1] == 1 else np.matmul(g.blocks, x)
+        out = y.reshape(moved.shape).transpose(np.argsort(order))
+    return np.array(out, order="C").reshape(amplitudes.shape)
 
 
 @lru_cache(maxsize=1024)
@@ -486,7 +435,7 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
     modulus at most SUPPORT_TOL dropped; a group with A = 1 only
     multiplies.  Returns the indices, ascending, their amplitudes, and
     the summed norms of what each group dropped, which bounds the distance
-    to `run_gates`' result since every group is unitary.  The inputs are
+    to the exact result since every group is unitary.  The inputs are
     never written.
     """
     dims = tuple(int(d) for d in dims)

@@ -21,6 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .lattice import (
+    NORM_TOL,
     Link,
     RegisterLayout,
     Vertex,
@@ -501,20 +502,11 @@ def _plan(schedule: Schedule, n: int, op_range: tuple[int, int] | None = None):
     return plan
 
 
-def execute_sector(schedule: Schedule, n: int, amplitudes: np.ndarray,
-                   op_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Run the fused plan of fermion-number sector n on amplitudes over that
-    sector's registers; trailing axes beyond them are batch.  The input is
-    never written."""
-    return run_gates(_plan(schedule, n, op_range), _sector_dims(schedule.layout, n), amplitudes)
-
-
 def execute_support(schedule: Schedule, n: int, index: np.ndarray,
                     amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run the step's fused plan of sector n, the one `execute_sector` runs,
-    on a state given on its support: basis indices of that sector's
-    registers and their amplitudes.  Returns the new support and the norm
-    `lattice.run_support` dropped."""
+    """Run the step's fused plan of sector n on a state given on its support:
+    basis indices of that sector's registers and their amplitudes.  Returns
+    the new support and the norm `lattice.run_support` dropped."""
     return run_support(_plan(schedule, n), _sector_dims(schedule.layout, n), index, amplitudes)
 
 
@@ -527,21 +519,30 @@ def schedule_physical_map(schedule: Schedule,
     which is exact whenever the slice restores them (every substep does).
 
     Every gate keeps the fermion number, so the map is block diagonal in
-    the sectors: each sector's block is its own plan run on that sector's
-    identity columns, each entry repeated A times over sqrt(A), with each
-    run of A output rows summed over sqrt(A); every entry between two
-    sectors is an exact zero.
+    the sectors: each sector's plan runs on the support of its k identity
+    columns, held by one more trailing register of dimension k that no
+    gate targets, each column's A entries at 1/sqrt(A); each output entry
+    adds over sqrt(A) at (its sector row // A, its column).  Every entry
+    between two sectors is an exact zero.  RuntimeError once the norm the
+    support kernel dropped exceeds NORM_TOL.
     """
     layout = schedule.layout
     anc = layout.ancilla_dim
     full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
+    dropped = 0.0
     for n in range(len(layout.geometry.vertices) + 1):
-        k = math.prod(_sector_dims(layout, n)) // anc
+        dims = _sector_dims(layout, n)
+        k = math.prod(dims) // anc
+        index = np.arange(k * anc) * k + np.repeat(np.arange(k), anc)
+        index, values, lost = run_support(_plan(schedule, n, op_range), dims + (k,), index,
+                                          np.full(k * anc, 1 / math.sqrt(anc), dtype=np.complex128))
+        dropped += lost
+        row, column = np.divmod(index, k)
         rows = full_index(layout, n, np.arange(k) * anc) // anc
-        columns = np.repeat(np.eye(k, dtype=np.complex128) / math.sqrt(anc), anc, axis=0)
-        # projected in one expression: no sector's output outlives its block
-        full[np.ix_(rows, rows)] = (execute_sector(schedule, n, columns, op_range)
-                                    .reshape(k, anc, k).sum(axis=1) / math.sqrt(anc))
+        np.add.at(full, (rows[row // anc], rows[column]), values / math.sqrt(anc))
+    if dropped > NORM_TOL:
+        raise RuntimeError(f"the support kernel dropped a norm of {dropped:.3e} from the "
+                           f"map, over NORM_TOL = {NORM_TOL:g}")
     return full
 
 

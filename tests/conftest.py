@@ -6,6 +6,7 @@ import pytest
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
 from zngauge.lattice import (LatticeGeometry, _sector_dims, build_layout, full_index, gate_group,
                              project_support, run_gates, singlet_support)
+from zngauge.schedule import _plan
 
 
 @pytest.fixture(scope="session")
@@ -38,6 +39,13 @@ def singlet_sector(layout):
     amplitudes = np.zeros(np.prod(_sector_dims(layout, n)), dtype=np.complex128)
     amplitudes[index] = values
     return n, amplitudes
+
+
+def dense_run(schedule, n, amplitudes, op_range=None):
+    """The dense reference of the support kernel: the fused plan of sector n
+    (of an op range) through `run_gates`, on amplitudes over that sector's
+    registers; trailing axes are batch."""
+    return run_gates(_plan(schedule, n, op_range), _sector_dims(schedule.layout, n), amplitudes)
 
 
 def physical_amplitudes(layout, index, amplitudes):

@@ -130,6 +130,12 @@ def test_negative_shots_exits_2(tmp_path):
     assert proc.stderr.startswith("error:") and "shots" in proc.stderr
 
 
+def test_shots_is_a_quench_flag():
+    proc = run_cli("verify", "--shots", "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --shots 3" in proc.stderr
+
+
 def test_unknown_subcommand_fails():
     proc = run_cli("teleport")
     assert proc.returncode == 2

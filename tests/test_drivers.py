@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, dense_weights, physical_amplitudes, singlet_sector
+from conftest import (build_global_singlet, dense_run, dense_weights, physical_amplitudes,
+                      singlet_sector)
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.lattice as lattice
@@ -39,7 +40,7 @@ from zngauge.lattice import (
     singlet_support,
     total_fermion_number,
 )
-from zngauge.schedule import compile_step, execute_sector, execute_support
+from zngauge.schedule import compile_step, execute_support
 
 EXPECTED_CHECKS = [
     "algebra_closure",
@@ -154,9 +155,10 @@ def test_quench_row_contents(tmp_path):
 
 
 def full_space_observables(config):
-    """Per step, run_quench's observables from a dense loop: `execute_sector` on
-    the singlet's amplitudes over its whole sector, and the observables read
-    at the full-space index of every basis state of the sector."""
+    """Per step, run_quench's observables from a dense loop: the sector plan
+    through `run_gates` on the singlet's amplitudes over its whole sector,
+    and the observables read at the full-space index of every basis state
+    of the sector."""
     layout = config.build_geometry()
     cpl = config.couplings()
     tau = config.T / config.n_steps
@@ -170,7 +172,7 @@ def full_space_observables(config):
         phys0 = physical_amplitudes(layout, full, state)
     out = []
     for k in range(1, config.n_steps + 1):
-        state = execute_sector(sched, n, state)
+        state = dense_run(sched, n, state)
         probs = full, np.abs(state) ** 2
         gauss = gauss_expectations(layout, *probs)
         physical = physical_amplitudes(layout, full, state)

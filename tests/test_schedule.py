@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_global_singlet, dense_weights, embed_physical, lift,
+from conftest import (build_global_singlet, dense_run, dense_weights, embed_physical, lift,
                       physical_amplitudes, physical_singlet, singlet_sector)
 from zngauge.algebra import (
     Couplings,
@@ -38,7 +38,6 @@ from zngauge.schedule import (
     _substep_ranges,
     compile_step,
     dump_schedule,
-    execute_sector,
     execute_support,
     plaquette_curl,
     gauge_away_phases,
@@ -264,7 +263,7 @@ def test_repeated_execute_matches_powered_map(layout22, cpl1):
     sched = compile_step(layout22, cpl1, 0.1, "choreography", 1)
     n, state = singlet_sector(layout22)
     for _ in range(3):
-        state = execute_sector(sched, n, state)
+        state = dense_run(sched, n, state)
     want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ physical_singlet(layout22)
     got = physical_amplitudes(layout22, full_index(layout22, n, np.arange(state.size)), state)
     assert np.abs(got - want).max() < 1e-11
@@ -302,7 +301,7 @@ def test_modes_agree_on_a_wider_lattice():
         overlap = 0.0
         for n in range(len(lay.geometry.vertices) + 1):
             part = sector_rows(lay, st, n)
-            overlap += np.vdot(execute_sector(cho, n, part), execute_sector(direct, n, part))
+            overlap += np.vdot(dense_run(cho, n, part), dense_run(direct, n, part))
         assert abs(overlap) > 1 - 1e-12, policy
 
 
@@ -326,9 +325,9 @@ def test_sector_slicing_matches_manual(sched_dir1, layout22):
     amp /= np.linalg.norm(amp)
     for n in range(5):
         part = sector_rows(layout22, amp, n)
-        whole = execute_sector(sched_dir1, n, part)
+        whole = dense_run(sched_dir1, n, part)
         for _, lo, hi in sched_dir1.substeps:
-            part = execute_sector(sched_dir1, n, part, (lo, hi))
+            part = dense_run(sched_dir1, n, part, (lo, hi))
         assert np.abs(whole - part).max() < 1e-12
 
 
@@ -362,12 +361,12 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     for _, lo, hi in sched.substeps:
         before, want = want, reference_execute(sched, want, (lo, hi))
         for n in sectors:
-            got = execute_sector(sched, n, sector_rows(lay, before, n), (lo, hi))
+            got = dense_run(sched, n, sector_rows(lay, before, n), (lo, hi))
             assert np.abs(got - sector_rows(lay, want, n)).max() <= 1e-12
     for n in sectors:
         part = sector_rows(lay, amp, n)
         saved = part.copy()
-        assert np.abs(execute_sector(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
+        assert np.abs(dense_run(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
         assert np.array_equal(part, saved)
 
     # the physical map (3x2 has no feasible one: 139968 columns), checked
@@ -401,7 +400,7 @@ def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
     for n in sectors:
         part = sector_rows(lay, amp, n)
         saved = part.copy()
-        assert np.abs(execute_sector(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
+        assert np.abs(dense_run(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
         assert np.array_equal(part, saved)
 
 
@@ -435,7 +434,7 @@ def test_support_kernel_matches_run_gates(geo, mode, order, policy, start):
         index, values, dropped = got
         saved = index.copy(), values.copy()
         truncated += dropped
-        dense = execute_sector(sched, n, dense)
+        dense = dense_run(sched, n, dense)
     assert np.all(np.diff(index) > 0)
     assert np.all(np.abs(values) > lattice_module.SUPPORT_TOL)
     support = np.zeros(size, dtype=np.complex128)
@@ -456,9 +455,8 @@ def test_fused_executor_still_checks_gates(layout22, cpl1, monkeypatch, bad, mes
     monkeypatch.setattr(schedule_module, "_cached_gate", faulty)
     schedule_module._member.cache_clear()   # members built from the honest gates
     sched = compile_step(layout22, cpl1, TAU, "direct", 1)
-    n, amp = singlet_sector(layout22)
     with pytest.raises(ValueError, match=message):
-        execute_sector(sched, n, amp)
+        execute_support(sched, *singlet_support(layout22))
 
 
 @pytest.mark.parametrize("targets, message", [("99", "out of range"), ("4,4", "repeated")])
@@ -466,7 +464,7 @@ def test_fused_executor_rejects_bad_targets(layout22, targets, message):
     op = GateOp("dft_link", tuple(int(t) for t in targets.split(",")), (), 1)
     sched = Schedule(layout22, (op,), ())
     with pytest.raises(ValueError, match=message):
-        execute_sector(sched, *singlet_sector(layout22))
+        execute_support(sched, *singlet_support(layout22))
 
 
 def test_substep_ranges_reject_a_split_window():
@@ -597,26 +595,34 @@ def check_packed_map(sched, op_range=None):
 @pytest.mark.parametrize("mode", ["choreography", "direct"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order):
-    """2x2 has fermion-number sectors of C(4, n) * 81 physical states, so the
-    map runs one batch per sector, its identity columns lifted onto the
-    sector's 3 ancilla states: 81, 324, 486, 324 and 81 columns."""
+    """2x2 has fermion-number sectors of k = C(4, n) * 81 physical states, so
+    each map runs the support kernel once per sector, on the k * 3 entries of
+    its identity columns lifted onto the sector's 3 ancilla states, with the
+    columns as one more register of dimension k; the norm it drops over the
+    map stays at rounding level."""
     sched = compile_step(layout22, cpl1, 0.4, mode, order, theta=0.3, theta_prime=0.7)
-    batches = []
-    execute_sector = schedule_module.execute_sector
+    calls = []
+    run_support = schedule_module.run_support
 
-    def spy(schedule, n, amplitudes, op_range=None):
-        batches.append((n, amplitudes.shape))
-        return execute_sector(schedule, n, amplitudes, op_range)
+    def spy(groups, dims, index, amplitudes):
+        out = run_support(groups, dims, index, amplitudes)
+        calls.append((dims, index.size, out[2]))
+        return out
 
-    monkeypatch.setattr(schedule_module, "execute_sector", spy)
-    schedule_physical_map(sched)
-    monkeypatch.undo()
-    d = [math.comb(4, n) * 81 for n in range(5)]
-    assert batches == [(n, (3 * d_n, d_n)) for n, d_n in enumerate(d)]
-    check_packed_map(sched)
-    if order == 1:
-        _, lo, hi = sched.substeps[1]
-        check_packed_map(sched, (lo, hi))
+    monkeypatch.setattr(schedule_module, "run_support", spy)
+    ks = [math.comb(4, n) * 81 for n in range(5)]
+    for op_range in [None] + ([sched.substeps[1][1:]] if order == 1 else []):
+        calls.clear()
+        check_packed_map(sched, op_range)
+        assert [c[:2] for c in calls] == [(_sector_dims(layout22, n) + (k,), 3 * k)
+                                          for n, k in enumerate(ks)]
+        assert sum(dropped for _, _, dropped in calls) <= 1e-12
+
+
+def test_map_raises_when_the_support_kernel_drops_a_real_norm(layout22, cpl1, monkeypatch):
+    monkeypatch.setattr(lattice_module, "SUPPORT_TOL", 1e-3)
+    with pytest.raises(RuntimeError, match="NORM_TOL"):
+        schedule_physical_map(compile_step(layout22, cpl1, TAU, "direct", 1))
 
 
 @pytest.mark.parametrize("geo", [(1, 3), (3, 1)])
