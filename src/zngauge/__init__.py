@@ -2,11 +2,10 @@
 
 Desk-scale reference implementation on small 2d lattices with staggered
 fermions, clock-model links, and ancilla registers: the stator-based gate
-schedules that realize one Trotter step, run per fermion-number sector on
-a state's support (its basis indices and their amplitudes; a quench's
-observables and samples read it at full-space indices, and a
-physical-space map runs its identity columns as one more register),
-plus the optical-lattice design utilities.
+schedules that realize one Trotter step, run on a state's support (its
+full-space basis indices and their amplitudes, which a quench's
+observables and samples read; a physical-space map runs its identity
+columns as one more register), plus the optical-lattice design utilities.
 """
 
 from .lattice import (LatticeGeometry, Register, RegisterLayout, born_sample,

@@ -18,9 +18,9 @@ from importlib import metadata
 
 import numpy as np
 
-from .lattice import (NORM_TOL, RegisterLayout, _sector_dims, born_sample, check_normalized,
-                      full_index, marginals, project_support, singlet_fermion_number,
-                      singlet_support, total_fermion_number)
+from .lattice import (NORM_TOL, RegisterLayout, born_sample, check_normalized, marginals,
+                      project_support, singlet_fermion_number, singlet_support,
+                      total_fermion_number)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
@@ -128,27 +128,29 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
 
 
 def quench_footprint_bytes(layout: RegisterLayout) -> int:
-    """Bytes a quench is allowed: three complex buffers of the singlet's
-    fermion-number sector.  Its observables and shots read the support.
+    """Bytes a quench is allowed: three complex buffers, each of one
+    amplitude per full-space basis state with the singlet's fermion
+    number, C(V, n) * (total_dim >> V) of them.  Its observables and
+    shots read the support.
 
-    The support kernel's worst case, a support that is the whole sector,
-    holds about 190 B per amplitude of it (measured on 3x2), more than
+    The support kernel's worst case, a support that fills those basis
+    states, holds about 190 B per amplitude (measured on 3x2), more than
     this allows.  From the singlet the Gauss law and the restored
     ancillas keep the support far smaller: on 3x2 it peaks at 14,580 of
-    the sector's 393,660 amplitudes, and a warm choreography quench peaks
-    at 9.1 MiB against the 18.0 MiB allowed, with or without shots.
+    those 393,660 states, and a warm choreography quench peaks at 7.5 MiB
+    against the 18.0 MiB allowed, with or without shots.
     """
-    return 16 * 3 * math.prod(_sector_dims(layout, singlet_fermion_number(layout)))
+    v = len(layout.geometry.vertices)
+    return 16 * 3 * math.comb(v, singlet_fermion_number(layout)) * (layout.total_dim >> v)
 
 
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
                shots: int = 0) -> list[dict]:
     """Sudden-interaction evolution from the global singlet.
 
-    Every gate keeps the fermion number, so the state stays in the
-    singlet's sector, where it is evolved on its support by
-    `execute_support`; its observables and `shots` read that support at
-    its full-space indices.  Records per step: Gauss-law
+    The state is evolved on its support, full-space basis indices and
+    their amplitudes, by `execute_support`; its observables and `shots`
+    read that support.  Records per step: Gauss-law
     expectation per vertex, total fermion number, flux-sector
     probabilities, ancilla restoration, the norm the support kernel has
     dropped so far (a bound on the distance to exact arithmetic;
@@ -160,39 +162,38 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     need = quench_footprint_bytes(layout)
     have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if need > have:
-        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers of the "
-                          f"singlet's fermion-number sector), over the "
+        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers over "
+                          f"the singlet's fermion number), over the "
                           f"{have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
                          theta=config.theta, theta_prime=config.theta_prime)
-    n, index, amplitudes = singlet_support(layout)
+    index, amplitudes = singlet_support(layout)
     evolver = None
     if layout.physical_dim <= ORACLE_DIM_LIMIT:
         evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
         phys0 = np.zeros(layout.physical_dim, dtype=np.complex128)
-        physical, projected = project_support(layout, full_index(layout, n, index), amplitudes)
+        physical, projected = project_support(layout, index, amplitudes)
         phys0[physical] = projected
     truncated = 0.0
     rows = []
     for k in range(1, config.n_steps + 1):
-        index, amplitudes, dropped = execute_support(sched, n, index, amplitudes)
+        index, amplitudes, dropped = execute_support(sched, index, amplitudes)
         truncated += dropped
         if truncated > NORM_TOL:
             raise RuntimeError(f"the support kernel dropped a norm of {truncated:.3e} by step "
                                f"{k}, over NORM_TOL = {NORM_TOL:g}")
         check_normalized(amplitudes)
-        full = full_index(layout, n, index)
         weights = np.abs(amplitudes) ** 2
-        physical, projected = project_support(layout, full, amplitudes)
-        gauss = gauss_expectations(layout, full, weights)
-        flux = flux_sector_probabilities(layout, full, weights)
+        physical, projected = project_support(layout, index, amplitudes)
+        gauss = gauss_expectations(layout, index, weights)
+        flux = flux_sector_probabilities(layout, index, weights)
         row = {
             "step": k,
             "time": k * tau,
             "gauss_max_deviation": max(abs(v - 1.0) for v in gauss.values()),
-            "fermion_number": total_fermion_number(layout, full, weights),
+            "fermion_number": total_fermion_number(layout, index, weights),
             "ancilla_restoration": float(np.linalg.norm(projected)),
             "truncated_norm": truncated,
         }
@@ -212,7 +213,7 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
         write_csv(os.path.join(out_dir, "trajectory.csv"), header,
                   [[r[h] for h in header] for r in rows])
         if shots > 0:
-            sample = measure_configuration(layout, full, amplitudes, config.seed, shots)
+            sample = measure_configuration(layout, index, amplitudes, config.seed, shots)
             head = ([f"occ_{v[0]}_{v[1]}" for v in sample["vertices"]]
                     + [f"link_{l[0][0]}_{l[0][1]}_{l[1]}" for l in sample["links"]])
             body = np.hstack([sample["occupation"], sample["flux"]])
@@ -343,13 +344,8 @@ def run_verification_suite(config: SimulationConfig,
     checks.append(_check("bound_dominance", 0.0 if dominance else 1.0, 0.5))
 
     # optical orthogonality across the validity region
-    worst_o = 0.0
-    for xi in XI_GRID:
-        e1, e2, e3, valid = polarization_vectors(xi)
-        if not valid:
-            continue
-        worst_o = max(worst_o, abs(float(np.dot(e1, e2))),
-                      abs(float(np.dot(e1, e3))), abs(float(np.dot(e2, e3))))
+    worst_o = max((r["max_cross_dot"] for r in run_optical_scan(config) if r["valid"]),
+                  default=0.0)
     checks.append(_check("optical_orthogonality", worst_o, OPTICAL_ORTHOGONALITY_TOL))
 
     all_pass = all(c.passed for c in checks)

@@ -227,15 +227,6 @@ def check_normalized(amplitudes: np.ndarray):
         raise ValueError(f"state not normalized: ||psi|| = {n}")
 
 
-# ---------------------------------------------------------------------------
-# fermion-number sectors
-#
-# Every gate keeps the fermion number and the fermions are the leading
-# registers, so amplitudes of fixed fermion number n live on the registers
-# of sector n: one collapsed fermion register over the C(V, n)
-# configurations with n occupied modes, then the link and ancilla registers.
-
-
 @lru_cache(maxsize=None)
 def _occupation(n_modes: int) -> np.ndarray:
     """Occupied modes of each mixed-radix index of `n_modes` fermion digits."""
@@ -244,41 +235,14 @@ def _occupation(n_modes: int) -> np.ndarray:
     return count
 
 
-@lru_cache(maxsize=None)
-def _sector(n_modes: int, n: int) -> np.ndarray:
-    """Indices of the fermion configurations with n occupied modes, ascending:
-    the basis of the collapsed fermion register of sector n."""
-    index = np.flatnonzero(_occupation(n_modes) == n)
-    index.setflags(write=False)
-    return index
-
-
-def _sector_dims(layout: RegisterLayout, n: int) -> tuple[int, ...]:
-    """Register dims of sector n: the collapsed fermion register, then the
-    link and ancilla registers."""
-    v = len(layout.geometry.vertices)
-    return (math.comb(v, n),) + tuple(int(d) for d in layout.dims[v:])
-
-
-def full_index(layout: RegisterLayout, n: int, index: np.ndarray) -> np.ndarray:
-    """Full-space basis index of each basis index of sector n.
-
-    The map keeps order, and dividing its result by the product of the
-    ancilla dims gives the physical index.
-    """
-    v = len(layout.geometry.vertices)
-    trailing = layout.total_dim >> v
-    return _sector(v, n)[index // trailing] * trailing + index % trailing
-
-
 def singlet_fermion_number(layout: RegisterLayout) -> int:
     """Fermion number of the global singlet, whose fermions fill every odd vertex."""
     return sum(not is_even(x) for x in layout.geometry.vertices)
 
 
-def singlet_support(layout: RegisterLayout) -> tuple[int, np.ndarray, np.ndarray]:
-    """Reference gauge-invariant state on its support: its fermion number n,
-    its basis indices in sector n, ascending, and their amplitudes.
+def singlet_support(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
+    """Reference gauge-invariant state on its support: its full-space basis
+    indices, ascending, and their amplitudes.
 
     Links in |m=0>, fermions filling every odd vertex (the staggered
     vacuum), each ancilla in the uniform superposition |in~>, which is the
@@ -287,12 +251,10 @@ def singlet_support(layout: RegisterLayout) -> tuple[int, np.ndarray, np.ndarray
     """
     vertices = layout.geometry.vertices
     v = len(vertices)
-    n = singlet_fermion_number(layout)
     filled = sum(1 << (v - 1 - i) for i, x in enumerate(vertices) if not is_even(x))
     anc = layout.ancilla_dim
-    row = int(np.searchsorted(_sector(v, n), filled))
-    index = row * (layout.total_dim >> v) + np.arange(anc)
-    return n, index, np.full(anc, 1 / math.sqrt(anc), dtype=np.complex128)
+    index = filled * (layout.total_dim >> v) + np.arange(anc)
+    return index, np.full(anc, 1 / math.sqrt(anc), dtype=np.complex128)
 
 
 @dataclass(frozen=True)

@@ -27,11 +27,8 @@ from .lattice import (
     Vertex,
     GateGroup,
     _occupation,
-    _sector,
-    _sector_dims,
     block_group,
     check_targets,
-    full_index,
     gate_group,
     is_even,
     run_gates,
@@ -87,7 +84,7 @@ class Schedule:
     layout: RegisterLayout
     ops: tuple[GateOp, ...]
     substeps: tuple[tuple[str, int, int], ...]
-    # fused gate plans by (op range start, stop, fermion number), built on first use
+    # fused gate plans by op range (start, stop), built on first use
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def gate_count(self, include_idle: bool = False) -> int:
@@ -391,54 +388,27 @@ def _cached_gate(name: str, params: tuple[float, ...], dims: tuple[int, ...]) ->
     return m
 
 
-# members kept per process, shared by every sector, schedule and call that
-# reads them; one 2x2 map reads a few hundred
+# members kept per process, shared by every schedule and call that reads
+# them; one 2x2 map reads a few hundred
 @lru_cache(maxsize=512)
-def _member(layout: RegisterLayout, name: str, params: tuple[float, ...],
-            targets: tuple[int, ...], n: int) -> GateGroup:
-    """The checked group of one gate on the registers of sector n.
-
-    Its fermion targets become the collapsed register: entry (s, s') is
-    the gate's entry between the targets' digits of configurations s and
-    s', and zero unless s and s' agree on every other mode.  Any nonzero
-    gate entry between different occupation counts of its fermion digits
-    raises ValueError, so the embedding is the exact restriction.
-    """
-    dims = tuple(int(d) for d in layout.dims)
+def _member(dims: tuple[int, ...], v: int, name: str, params: tuple[float, ...],
+            targets: tuple[int, ...]) -> GateGroup:
+    """The checked group of one gate on registers `dims`, whose first v are
+    the fermion modes.  Any nonzero gate entry between different
+    occupation counts of its fermion targets raises ValueError."""
     targets = check_targets(dims, targets)
-    tdims = [dims[t] for t in targets]
-    gate = _cached_gate(name, params, tuple(tdims))
-    v = len(layout.geometry.vertices)
-    sdims = _sector_dims(layout, n)
+    tdims = tuple(dims[t] for t in targets)
+    gate = _cached_gate(name, params, tdims)
+    group = gate_group(dims, gate, targets)
     fermions = [i for i, t in enumerate(targets) if t < v]
-    rest = [i for i, t in enumerate(targets) if t >= v]
-    moved = tuple(targets[i] - v + 1 for i in rest)
-    if not fermions:
-        return gate_group(sdims, gate, moved)
-    k, d_gate = len(targets), math.prod(tdims)
-    if gate.shape != (d_gate, d_gate):
-        raise ValueError(f"gate shape {gate.shape} != target dim {d_gate}")
-    d_f = 2 ** len(fermions)
-    d_r = d_gate // d_f
-    order = fermions + rest
-    tensor = gate.reshape(tdims + tdims).transpose(order + [k + i for i in order])
-    tensor = tensor.reshape(d_f, d_r, d_f, d_r)
-    count = _occupation(len(fermions))
-    if tensor.transpose(0, 2, 1, 3)[count[:, None] != count[None, :]].any():
+    count = np.indices(tdims).reshape(len(tdims), -1)[fermions].sum(axis=0)
+    if gate[count[:, None] != count[None, :]].any():
         raise ValueError(f"{name} on registers {targets} changes the fermion number")
-    # a: the targets' fermion digits of each sector state; b: its other modes
-    index = _sector(v, n)
-    bits = [v - 1 - targets[i] for i in fermions]
-    a = sum(((index >> bit) & 1) << (len(bits) - 1 - j) for j, bit in enumerate(bits))
-    b = index & ~sum(1 << bit for bit in bits)
-    embedded = tensor[a[:, None], :, a[None, :], :] * (b[:, None] == b[None, :])[:, :, None, None]
-    d_n = index.size * d_r
-    return gate_group(sdims, embedded.transpose(0, 2, 1, 3).reshape(d_n, d_n), (0,) + moved)
+    return group
 
 
-def _fuse(layout: RegisterLayout, ops, n: int) -> tuple[GateGroup, ...]:
-    """Greedy fusion of consecutive non-idle ops into checked gate groups on
-    the registers of fermion-number sector n.
+def _fuse(layout: RegisterLayout, ops) -> tuple[GateGroup, ...]:
+    """Greedy fusion of consecutive non-idle ops into checked gate groups.
 
     A register is a control of a group when every member that targets it
     leaves it a control, so the product keeps their exact zeros.  A group
@@ -446,16 +416,14 @@ def _fuse(layout: RegisterLayout, ops, n: int) -> tuple[GateGroup, ...]:
     _FUSE_MAX_DIM**2; its blocks come from pushing the members through
     the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
     """
-    dims = _sector_dims(layout, n)
+    dims = tuple(int(d) for d in layout.dims)
     v = len(layout.geometry.vertices)
     groups: list[GateGroup] = []
     members: list[GateGroup] = []
     for op in ops:
         if op.name == "idle":
             continue
-        # a gate with no fermion target is the same in every sector: built in sector 0
-        fermionic = any(t < v for t in op.targets)
-        member = _member(layout, op.name, op.params, op.targets, n if fermionic else 0)
+        member = _member(dims, v, op.name, op.params, op.targets)
         controls, active = _split(members + [member])
         c_dim = math.prod(dims[t] for t in controls)
         a_dim = math.prod(dims[t] for t in active)
@@ -491,23 +459,24 @@ def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
     return block_group(dims, controls, active, blocks)
 
 
-def _plan(schedule: Schedule, n: int, op_range: tuple[int, int] | None = None):
-    """The fused plan of the op range in fermion-number sector n, built on
-    first use and kept on the schedule, keyed by (lo, hi, n)."""
+def _plan(schedule: Schedule, op_range: tuple[int, int] | None = None):
+    """The fused plan of the op range, built on first use and kept on the
+    schedule, keyed by (lo, hi)."""
     lo, hi = op_range if op_range is not None else (0, len(schedule.ops))
-    key = slice(lo, hi).indices(len(schedule.ops))[:2] + (n,)
+    key = slice(lo, hi).indices(len(schedule.ops))[:2]
     plan = schedule._plans.get(key)
     if plan is None:
-        plan = schedule._plans[key] = _fuse(schedule.layout, schedule.ops[key[0]:key[1]], n)
+        plan = schedule._plans[key] = _fuse(schedule.layout, schedule.ops[key[0]:key[1]])
     return plan
 
 
-def execute_support(schedule: Schedule, n: int, index: np.ndarray,
+def execute_support(schedule: Schedule, index: np.ndarray,
                     amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Run the step's fused plan of sector n on a state given on its support:
-    basis indices of that sector's registers and their amplitudes.  Returns
-    the new support and the norm `lattice.run_support` dropped."""
-    return run_support(_plan(schedule, n), _sector_dims(schedule.layout, n), index, amplitudes)
+    """Run the step's fused plan on a state given on its support: full-space
+    basis indices and their amplitudes.  Returns the new support and the
+    norm `lattice.run_support` dropped."""
+    return run_support(_plan(schedule), tuple(int(d) for d in schedule.layout.dims),
+                       index, amplitudes)
 
 
 def schedule_physical_map(schedule: Schedule,
@@ -518,28 +487,35 @@ def schedule_physical_map(schedule: Schedule,
     (the trailing digits), and are projected back onto it at the end,
     which is exact whenever the slice restores them (every substep does).
 
-    Every gate keeps the fermion number, so the map is block diagonal in
-    the sectors: each sector's plan runs on the support of its k identity
-    columns, held by one more trailing register of dimension k that no
-    gate targets, each column's A entries at 1/sqrt(A); each output entry
-    adds over sqrt(A) at (its sector row // A, its column).  Every entry
-    between two sectors is an exact zero.  RuntimeError once the norm the
-    support kernel dropped exceeds NORM_TOL.
+    The plan runs on the support of the identity columns, held by one
+    more trailing register of dimension k that no gate targets, each
+    column's A entries at 1/sqrt(A); each output entry adds over sqrt(A)
+    at (its row // A, its column's physical index).  Every gate keeps the
+    fermion number, so every entry between two fermion numbers is an
+    exact zero.  RuntimeError once the norm the support kernel dropped
+    exceeds NORM_TOL.
     """
     layout = schedule.layout
     anc = layout.ancilla_dim
+    v = len(layout.geometry.vertices)
+    rest = layout.physical_dim >> v
+    dims = tuple(int(d) for d in layout.dims)
+    plan = _plan(schedule, op_range)
     full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
     dropped = 0.0
-    for n in range(len(layout.geometry.vertices) + 1):
-        dims = _sector_dims(layout, n)
-        k = math.prod(dims) // anc
-        index = np.arange(k * anc) * k + np.repeat(np.arange(k), anc)
-        index, values, lost = run_support(_plan(schedule, n, op_range), dims + (k,), index,
+    for n in range(v + 1):
+        # the columns run one fermion number at a time, which bounds the
+        # support held at once: the physical indices with n fermions
+        columns = (np.flatnonzero(_occupation(v) == n)[:, None] * rest
+                   + np.arange(rest)).reshape(-1)
+        k = columns.size
+        # column j's entries at (its physical index * A + ancilla value) * k + j
+        index = ((columns * anc)[:, None] + np.arange(anc)) * k + np.arange(k)[:, None]
+        index, values, lost = run_support(plan, dims + (k,), index.reshape(-1),
                                           np.full(k * anc, 1 / math.sqrt(anc), dtype=np.complex128))
         dropped += lost
         row, column = np.divmod(index, k)
-        rows = full_index(layout, n, np.arange(k) * anc) // anc
-        np.add.at(full, (rows[row // anc], rows[column]), values / math.sqrt(anc))
+        np.add.at(full, (row // anc, columns[column]), values / math.sqrt(anc))
     if dropped > NORM_TOL:
         raise RuntimeError(f"the support kernel dropped a norm of {dropped:.3e} from the "
                            f"map, over NORM_TOL = {NORM_TOL:g}")

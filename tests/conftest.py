@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
-from zngauge.lattice import (LatticeGeometry, _sector_dims, build_layout, full_index, gate_group,
-                             project_support, run_gates, singlet_support)
+from zngauge.lattice import (LatticeGeometry, build_layout, gate_group, project_support, run_gates,
+                             singlet_support)
 from zngauge.schedule import _plan
 
 
@@ -27,25 +27,18 @@ def cpl1():
 
 def build_global_singlet(layout):
     """The global singlet's full-space amplitudes: its support scattered."""
-    n, index, values = singlet_support(layout)
+    index, values = singlet_support(layout)
     amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
-    amplitudes[full_index(layout, n, index)] = values
+    amplitudes[index] = values
     return amplitudes
 
 
-def singlet_sector(layout):
-    """The global singlet's fermion number n and its dense amplitudes over sector n."""
-    n, index, values = singlet_support(layout)
-    amplitudes = np.zeros(np.prod(_sector_dims(layout, n)), dtype=np.complex128)
-    amplitudes[index] = values
-    return n, amplitudes
-
-
-def dense_run(schedule, n, amplitudes, op_range=None):
-    """The dense reference of the support kernel: the fused plan of sector n
-    (of an op range) through `run_gates`, on amplitudes over that sector's
-    registers; trailing axes are batch."""
-    return run_gates(_plan(schedule, n, op_range), _sector_dims(schedule.layout, n), amplitudes)
+def dense_run(schedule, amplitudes, op_range=None):
+    """The dense reference of the support kernel: the fused plan (of an op
+    range) through `run_gates`, on full-space amplitudes; trailing axes are
+    batch."""
+    return run_gates(_plan(schedule, op_range), tuple(int(d) for d in schedule.layout.dims),
+                     amplitudes)
 
 
 def physical_amplitudes(layout, index, amplitudes):
@@ -59,8 +52,7 @@ def physical_amplitudes(layout, index, amplitudes):
 
 def physical_singlet(layout):
     """The global singlet's physical amplitudes."""
-    n, index, values = singlet_support(layout)
-    return physical_amplitudes(layout, full_index(layout, n, index), values)
+    return physical_amplitudes(layout, *singlet_support(layout))
 
 
 def lift(layout, physical):

@@ -7,8 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (build_global_singlet, dense_run, dense_weights, physical_amplitudes,
-                      singlet_sector)
+from conftest import build_global_singlet, dense_run, dense_weights, physical_amplitudes
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.lattice as lattice
@@ -34,7 +33,6 @@ from zngauge.drivers import (
 from zngauge.lattice import (
     LatticeGeometry,
     build_layout,
-    full_index,
     gate_group,
     run_gates,
     singlet_support,
@@ -116,8 +114,7 @@ def test_measure_configuration_labels_match_columns_3x2():
     # on 3x2 the row-major and sorted vertex orders give different
     # occupation patterns, so a label list out of step with its columns shows
     layout = build_layout(LatticeGeometry(3, 2), 3)
-    n, index, values = singlet_support(layout)
-    sample = measure_configuration(layout, full_index(layout, n, index), values, seed=5, shots=10)
+    sample = measure_configuration(layout, *singlet_support(layout), seed=5, shots=10)
     assert sample["vertices"] == sorted(layout.geometry.vertices)
     parity = [(x1 + x2) % 2 for x1, x2 in sample["vertices"]]
     assert parity == [0, 1, 1, 0, 0, 1]
@@ -155,24 +152,23 @@ def test_quench_row_contents(tmp_path):
 
 
 def full_space_observables(config):
-    """Per step, run_quench's observables from a dense loop: the sector plan
-    through `run_gates` on the singlet's amplitudes over its whole sector,
-    and the observables read at the full-space index of every basis state
-    of the sector."""
+    """Per step, run_quench's observables from a dense loop: the plan through
+    `run_gates` on the singlet's full-space amplitudes, and the observables
+    read at every basis index."""
     layout = config.build_geometry()
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,
                          theta=config.theta, theta_prime=config.theta_prime)
-    n, state = singlet_sector(layout)
-    full = full_index(layout, n, np.arange(state.size))
+    state = build_global_singlet(layout)
+    full = np.arange(state.size)
     evolver = None
     if layout.physical_dim <= oracle.ORACLE_DIM_LIMIT:
         evolver = oracle.ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
         phys0 = physical_amplitudes(layout, full, state)
     out = []
     for k in range(1, config.n_steps + 1):
-        state = dense_run(sched, n, state)
+        state = dense_run(sched, state)
         probs = full, np.abs(state) ** 2
         gauss = gauss_expectations(layout, *probs)
         physical = physical_amplitudes(layout, full, state)
@@ -387,7 +383,7 @@ def test_manifest_records_the_environment(tmp_path):
 
 
 def test_quench_footprint_is_the_state_and_two_buffers(layout22):
-    # the singlet's n = 2 sector (6 * 243 amplitudes) and the kernel's two buffers of it
+    # the 6 * 243 basis states with the singlet's 2 fermions, and the kernel's two buffers of them
     assert quench_footprint_bytes(layout22) == 16 * 3 * 1458 == 69_984
     big = SimulationConfig(Lx=3, Ly=3)
     need = quench_footprint_bytes(big.build_geometry())
@@ -421,14 +417,13 @@ def test_quench_observables_allocate_no_physical_array():
     layout = config.build_geometry()
     sched = compile_step(layout, config.couplings(), config.T / config.n_steps,
                          config.mode, config.order)
-    n, index, amplitudes = singlet_support(layout)
-    index, amplitudes, _ = execute_support(sched, n, index, amplitudes)
-    full, weights = full_index(layout, n, index), np.abs(amplitudes) ** 2
+    index, amplitudes, _ = execute_support(sched, *singlet_support(layout))
+    weights = np.abs(amplitudes) ** 2
 
     def observe():
-        gauss_expectations(layout, full, weights)
-        flux_sector_probabilities(layout, full, weights)
-        total_fermion_number(layout, full, weights)
+        gauss_expectations(layout, index, weights)
+        flux_sector_probabilities(layout, index, weights)
+        total_fermion_number(layout, index, weights)
 
     observe()
     tracemalloc.start()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (build_global_singlet, dense_run, dense_weights, embed_physical, lift,
-                      physical_amplitudes, physical_singlet, singlet_sector)
+                      physical_amplitudes, physical_singlet)
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
@@ -22,14 +22,11 @@ import zngauge.schedule as schedule_module
 from zngauge.lattice import (
     LatticeGeometry,
     block_group,
-    _sector,
-    _sector_dims,
     build_layout,
-    full_index,
     gate_group,
-    is_even,
     project_support,
     run_gates,
+    singlet_fermion_number,
     singlet_support,
     total_fermion_number,
 )
@@ -252,20 +249,13 @@ def test_non_gradient_field_raises(layout22):
         gauge_away_phases(layout22, {(0, 0): 0.0})
 
 
-def sector_rows(layout, amplitudes, n):
-    """The rows of full-space amplitudes (trailing axes are batch) in sector n."""
-    v = len(layout.geometry.vertices)
-    rows = amplitudes.reshape((2 ** v, -1) + amplitudes.shape[1:])
-    return rows[_sector(v, n)].reshape((-1,) + amplitudes.shape[1:])
-
-
 def test_repeated_execute_matches_powered_map(layout22, cpl1):
     sched = compile_step(layout22, cpl1, 0.1, "choreography", 1)
-    n, state = singlet_sector(layout22)
+    state = build_global_singlet(layout22)
     for _ in range(3):
-        state = dense_run(sched, n, state)
+        state = dense_run(sched, state)
     want = np.linalg.matrix_power(schedule_physical_map(sched), 3) @ physical_singlet(layout22)
-    got = physical_amplitudes(layout22, full_index(layout22, n, np.arange(state.size)), state)
+    got = physical_amplitudes(layout22, np.arange(state.size), state)
     assert np.abs(got - want).max() < 1e-11
 
 
@@ -298,10 +288,7 @@ def test_modes_agree_on_a_wider_lattice():
         st = lift(lay, random_gauge_invariant_physical(lay, rng))
         cho = compile_step(lay, cpl, TAU, "choreography", 1)
         direct = compile_step(lay, cpl, TAU, "direct", 1)
-        overlap = 0.0
-        for n in range(len(lay.geometry.vertices) + 1):
-            part = sector_rows(lay, st, n)
-            overlap += np.vdot(dense_run(cho, n, part), dense_run(direct, n, part))
+        overlap = np.vdot(dense_run(cho, st), dense_run(direct, st))
         assert abs(overlap) > 1 - 1e-12, policy
 
 
@@ -323,12 +310,10 @@ def test_sector_slicing_matches_manual(sched_dir1, layout22):
     rng = np.random.default_rng(13)
     amp = rng.normal(size=layout22.total_dim) + 1j * rng.normal(size=layout22.total_dim)
     amp /= np.linalg.norm(amp)
-    for n in range(5):
-        part = sector_rows(layout22, amp, n)
-        whole = dense_run(sched_dir1, n, part)
-        for _, lo, hi in sched_dir1.substeps:
-            part = dense_run(sched_dir1, n, part, (lo, hi))
-        assert np.abs(whole - part).max() < 1e-12
+    whole = dense_run(sched_dir1, amp)
+    for _, lo, hi in sched_dir1.substeps:
+        amp = dense_run(sched_dir1, amp, (lo, hi))
+    assert np.abs(whole - amp).max() < 1e-12
 
 
 def reference_execute(sched, amplitudes, op_range=None):
@@ -353,21 +338,16 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     rng = np.random.default_rng(21)
     amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
     amp /= np.linalg.norm(amp)
-    sectors = range(len(lay.geometry.vertices) + 1)
 
-    # every substep slice in every sector, chained: the slices tile the
-    # step, so the chain also yields the reference for the whole step
+    # every substep slice, chained: the slices tile the step, so the chain
+    # also yields the reference for the whole step
     want = amp
     for _, lo, hi in sched.substeps:
         before, want = want, reference_execute(sched, want, (lo, hi))
-        for n in sectors:
-            got = dense_run(sched, n, sector_rows(lay, before, n), (lo, hi))
-            assert np.abs(got - sector_rows(lay, want, n)).max() <= 1e-12
-    for n in sectors:
-        part = sector_rows(lay, amp, n)
-        saved = part.copy()
-        assert np.abs(dense_run(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
-        assert np.array_equal(part, saved)
+        assert np.abs(dense_run(sched, before, (lo, hi)) - want).max() <= 1e-12
+    saved = amp.copy()
+    assert np.abs(dense_run(sched, amp) - want).max() <= 1e-12
+    assert np.array_equal(amp, saved)
 
     # the physical map (3x2 has no feasible one: 139968 columns), checked
     # on every 97th column
@@ -384,8 +364,8 @@ def test_fused_executor_matches_gate_loop(geo, mode, order):
     ((3, 2), 3, "shared", "choreography")])
 @pytest.mark.parametrize("span", ["one", "two", "all"])
 def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
-    """A state on one, two or every fermion-number sector: on each of its
-    sectors the sector plan matches the gate-by-gate loop."""
+    """A state on one, two or every fermion number: the plan matches the
+    gate-by-gate loop."""
     lay = build_layout(LatticeGeometry(*geo), n_link, ancilla_policy=policy)
     v = len(lay.geometry.vertices)
     sectors = {"one": [v // 2], "two": [0, v // 2 + 1], "all": list(range(v + 1))}[span]
@@ -397,11 +377,9 @@ def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
     amp = (amp / np.linalg.norm(amp)).ravel()
     sched = compile_step(lay, Couplings(), 0.4, mode, 1)
     want = reference_execute(sched, amp)
-    for n in sectors:
-        part = sector_rows(lay, amp, n)
-        saved = part.copy()
-        assert np.abs(dense_run(sched, n, part) - sector_rows(lay, want, n)).max() <= 1e-12
-        assert np.array_equal(part, saved)
+    saved = amp.copy()
+    assert np.abs(dense_run(sched, amp) - want).max() <= 1e-12
+    assert np.array_equal(amp, saved)
 
 
 @pytest.mark.parametrize("geo", [(2, 2), (3, 2)])
@@ -412,16 +390,19 @@ def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
 def test_support_kernel_matches_run_gates(geo, mode, order, policy, start):
     """Two steps of the support kernel against the dense kernel on the same
     plan, from the singlet and from a random state on a twentieth of the
-    sector: they agree to 1e-12, and the dense state is within the summed
-    dropped norm of the support."""
+    basis states with the singlet's fermion number: they agree to 1e-12,
+    and the dense state is within the summed dropped norm of the support."""
     lay = build_layout(LatticeGeometry(*geo), 3, ancilla_policy=policy)
     cpl = Couplings(lambda_e=0.8, lambda_b=1.3, lambda_gm=0.9, mass=1.1)
     sched = compile_step(lay, cpl, 0.4, mode, order, theta=0.3, theta_prime=0.7)
-    n, index, values = singlet_support(lay)
-    size = math.prod(_sector_dims(lay, n))
+    index, values = singlet_support(lay)
+    size = lay.total_dim
     if start == "sparse":
+        v = len(lay.geometry.vertices)
+        count = np.indices((2,) * v).reshape(v, -1).sum(axis=0)
+        inside = np.flatnonzero(np.repeat(count == singlet_fermion_number(lay), size >> v))
         rng = np.random.default_rng(41)
-        index = np.sort(rng.choice(size, size=size // 20, replace=False))
+        index = np.sort(rng.choice(inside, size=inside.size // 20, replace=False))
         values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
         values /= np.linalg.norm(values)
     dense = np.zeros(size, dtype=np.complex128)
@@ -429,12 +410,12 @@ def test_support_kernel_matches_run_gates(geo, mode, order, policy, start):
     saved = index.copy(), values.copy()
     truncated = 0.0
     for _ in range(2):
-        got = execute_support(sched, n, index, values)
+        got = execute_support(sched, index, values)
         assert np.array_equal(index, saved[0]) and np.array_equal(values, saved[1])
         index, values, dropped = got
         saved = index.copy(), values.copy()
         truncated += dropped
-        dense = dense_run(sched, n, dense)
+        dense = dense_run(sched, dense)
     assert np.all(np.diff(index) > 0)
     assert np.all(np.abs(values) > lattice_module.SUPPORT_TOL)
     support = np.zeros(size, dtype=np.complex128)
@@ -511,13 +492,11 @@ def test_blocks_rebuild_every_gate_and_group(sched_cho1, sched_dir1):
             gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
             g = gate_group(dims, gate, op.targets)
             assert np.array_equal(dense_of(g), in_order(gate, dims, op.targets, g.targets))
-        for n in range(5):
-            sdims = schedule_module._sector_dims(sched.layout, n)
-            for g in schedule_module._fuse(sched.layout, sched.ops, n):
-                again = gate_group(sdims, dense_of(g), g.targets)
-                assert set(g.controls) <= set(again.controls)
-                assert np.array_equal(dense_of(again), in_order(dense_of(g), sdims, g.targets,
-                                                                again.targets))
+        for g in schedule_module._fuse(sched.layout, sched.ops):
+            again = gate_group(dims, dense_of(g), g.targets)
+            assert set(g.controls) <= set(again.controls)
+            assert np.array_equal(dense_of(again), in_order(dense_of(g), dims, g.targets,
+                                                            again.targets))
 
 
 def test_a_tiny_entry_is_not_an_exact_zero(layout22):
@@ -547,19 +526,15 @@ def test_a_non_unitary_block_raises(layout22):
         block_group(dims, (f,), (link,), blocks[:, :2, :2])
 
 
-@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 297), ((3, 2), 22, 525)])
+@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 225), ((3, 2), 20, 453)])
 def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
-    """The plan of the singlet's sector (n = 2 on 2x2, 3 on 3x2): its
-    multiply-adds per step (sum of A over groups with A > 1, times the
-    sector's amplitudes) are at most half those of the full-space plan,
-    225 * 3888 on 2x2 and 453 * 1259712 on 3x2."""
+    """The choreography step's plan: its group count, and its multiply-adds
+    per amplitude (the sum of A over groups with A > 1); every group stores
+    at most _FUSE_MAX_DIM**2 block entries."""
     lay = build_layout(LatticeGeometry(*geo), 3)
-    n = sum(not is_even(x) for x in lay.geometry.vertices)
-    plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, "choreography", 1).ops, n)
+    plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, "choreography", 1).ops)
     active = sum(g.blocks.shape[1] for g in plan if g.blocks.shape[1] > 1)
     assert len(plan) <= max_groups and active <= max_active
-    full_space = {(2, 2): 225, (3, 2): 453}[geo] * lay.total_dim
-    assert active * math.prod(schedule_module._sector_dims(lay, n)) <= full_space / 2
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
 
 
@@ -595,11 +570,11 @@ def check_packed_map(sched, op_range=None):
 @pytest.mark.parametrize("mode", ["choreography", "direct"])
 @pytest.mark.parametrize("order", [1, 2])
 def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order):
-    """2x2 has fermion-number sectors of k = C(4, n) * 81 physical states, so
-    each map runs the support kernel once per sector, on the k * 3 entries of
-    its identity columns lifted onto the sector's 3 ancilla states, with the
-    columns as one more register of dimension k; the norm it drops over the
-    map stays at rounding level."""
+    """2x2 has k = C(4, n) * 81 physical states of fermion number n, so each
+    map runs the support kernel once per n, on the k * 3 entries of their
+    identity columns lifted onto the 3 ancilla states, with the columns as
+    one more register of dimension k; the norm it drops over the map stays
+    at rounding level."""
     sched = compile_step(layout22, cpl1, 0.4, mode, order, theta=0.3, theta_prime=0.7)
     calls = []
     run_support = schedule_module.run_support
@@ -614,8 +589,7 @@ def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order)
     for op_range in [None] + ([sched.substeps[1][1:]] if order == 1 else []):
         calls.clear()
         check_packed_map(sched, op_range)
-        assert [c[:2] for c in calls] == [(_sector_dims(layout22, n) + (k,), 3 * k)
-                                          for n, k in enumerate(ks)]
+        assert [c[:2] for c in calls] == [(tuple(layout22.dims) + (k,), 3 * k) for k in ks]
         assert sum(dropped for _, _, dropped in calls) <= 1e-12
 
 
