@@ -403,7 +403,7 @@ def term_factor_maps(layout: RegisterLayout, name: str,
     """The factor maps whose sum is the named piece, before its coupling.
 
     This is the one definition of each of the eight pieces: its matrix
-    (scattered by term_matrix) and its coupling (TERM_COUPLINGS) follow
+    (scattered by hamiltonian_edges) and its coupling (TERM_COUPLINGS) follow
     from it.  Plaquette and hopping pieces list each map followed by its
     adjoint.
     """

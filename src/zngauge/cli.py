@@ -56,6 +56,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "quench" and args.shots < 0:
             raise ValueError(f"--shots must be >= 0, got {args.shots}")
+        if args.command == "quench" and args.shots and args.out is None:
+            raise ValueError(f"--shots {args.shots} needs --out, where measurements.csv goes")
         config = _load(args)
     except (OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

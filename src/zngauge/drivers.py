@@ -10,7 +10,6 @@ operator matrices that do not fit.
 from __future__ import annotations
 
 import json
-import math
 import os
 import resource
 from dataclasses import dataclass
@@ -19,8 +18,7 @@ from importlib import metadata
 import numpy as np
 
 from .lattice import (NORM_TOL, RegisterLayout, born_sample, check_normalized, marginals,
-                      project_support, singlet_fermion_number, singlet_support,
-                      total_fermion_number)
+                      project_support, singlet_support, total_fermion_number)
 from .algebra import (TERM_NAMES, Couplings, gauss_expectations, hamiltonian_edges,
                       make_link_algebra, random_gauge_invariant_physical)
 from .stators import (collision_calibration, eta_couplings, gate_matrix,
@@ -127,44 +125,23 @@ def dense_layout(config: SimulationConfig, driver: str) -> RegisterLayout:
     return config.build_geometry()
 
 
-def quench_footprint_bytes(layout: RegisterLayout) -> int:
-    """Bytes a quench is allowed: three complex buffers, each of one
-    amplitude per full-space basis state with the singlet's fermion
-    number, C(V, n) * (total_dim >> V) of them.  Its observables and
-    shots read the support.
-
-    The support kernel's worst case, a support that fills those basis
-    states, holds about 190 B per amplitude (measured on 3x2), more than
-    this allows.  From the singlet the Gauss law and the restored
-    ancillas keep the support far smaller: on 3x2 it peaks at 14,580 of
-    those 393,660 states, and a warm choreography quench peaks at 7.5 MiB
-    against the 18.0 MiB allowed, with or without shots.
-    """
-    v = len(layout.geometry.vertices)
-    return 16 * 3 * math.comb(v, singlet_fermion_number(layout)) * (layout.total_dim >> v)
-
-
 def run_quench(config: SimulationConfig, out_dir: str | None = None,
                shots: int = 0) -> list[dict]:
     """Sudden-interaction evolution from the global singlet.
 
     The state is evolved on its support, full-space basis indices and
     their amplitudes, by `execute_support`; its observables and `shots`
-    read that support.  Records per step: Gauss-law
-    expectation per vertex, total fermion number, flux-sector
-    probabilities, ancilla restoration, the norm the support kernel has
-    dropped so far (a bound on the distance to exact arithmetic;
-    RuntimeError once it exceeds NORM_TOL), and (when the physical
-    dimension allows dense diagonalization) fidelity against the exact
-    propagator.
+    read that support.  The support kernel raises MemoryError before a
+    group whose arrays would not fit in physical memory, and ValueError
+    when the lattice's basis indices or row keys do not fit int64.
+    Records per step: Gauss-law expectation per vertex, total fermion
+    number, flux-sector probabilities, ancilla restoration, the norm the
+    support kernel has dropped so far (a bound on the distance to exact
+    arithmetic; RuntimeError once it exceeds NORM_TOL), and (when the
+    physical dimension allows dense diagonalization) fidelity against the
+    exact propagator.
     """
     layout = config.build_geometry()
-    need = quench_footprint_bytes(layout)
-    have = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    if need > have:
-        raise MemoryError(f"quench needs about {need / 2**30:.3g} GiB (three buffers over "
-                          f"the singlet's fermion number), over the "
-                          f"{have / 2**30:.3g} GiB of physical memory")
     cpl = config.couplings()
     tau = config.T / config.n_steps
     sched = compile_step(layout, cpl, tau, config.mode, config.order,

@@ -19,6 +19,7 @@ exist.  Plaquettes are named by their bottom-left vertex.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -27,6 +28,8 @@ import numpy as np
 NORM_TOL = 1e-9       # state vectors must stay normalized to this
 UNITARITY_TOL = 1e-12  # gates must be unitary to this
 SUPPORT_TOL = 1e-13    # the support kernel drops amplitudes of at most this modulus
+INT64_MAX = int(np.iinfo(np.int64).max)
+PHYSICAL_MEMORY = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")  # bytes
 
 Vertex = tuple[int, int]
 Link = tuple[Vertex, int]
@@ -132,8 +135,8 @@ class RegisterLayout:
     ancilla_of_plaquette: dict = field(compare=False)
 
     @property
-    def dims(self) -> np.ndarray:
-        return np.array([r.dim for r in self.registers], dtype=np.int64)
+    def dims(self) -> tuple[int, ...]:
+        return tuple(r.dim for r in self.registers)
 
     @property
     def total_dim(self) -> int:
@@ -235,11 +238,6 @@ def _occupation(n_modes: int) -> np.ndarray:
     return count
 
 
-def singlet_fermion_number(layout: RegisterLayout) -> int:
-    """Fermion number of the global singlet, whose fermions fill every odd vertex."""
-    return sum(not is_even(x) for x in layout.geometry.vertices)
-
-
 def singlet_support(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
     """Reference gauge-invariant state on its support: its full-space basis
     indices, ascending, and their amplitudes.
@@ -248,7 +246,10 @@ def singlet_support(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
     vacuum), each ancilla in the uniform superposition |in~>, which is the
     eigenvalue-1 eigenvector of the ancilla shift operator: one physical
     basis state times the ancilla product, one entry per ancilla state.
+    ValueError when the basis indices do not fit int64.
     """
+    if layout.total_dim - 1 > INT64_MAX:
+        raise ValueError(f"the indices of {layout.total_dim} basis states do not fit int64")
     vertices = layout.geometry.vertices
     v = len(vertices)
     filled = sum(1 << (v - 1 - i) for i, x in enumerate(vertices) if not is_even(x))
@@ -356,7 +357,12 @@ def _support_tables(dims: tuple[int, ...], controls: tuple[int, ...],
     active value and `shift`, which makes index + shift[local] the row key:
     the index with its active digits zeroed, plus control * prod(dims) so
     that one control value's rows sort together.  `offsets` holds the
-    index offset of each active value."""
+    index offset of each active value.  ValueError when the row keys do
+    not fit int64."""
+    c_dim = math.prod(dims[t] for t in controls)
+    if c_dim * math.prod(dims) - 1 > INT64_MAX:
+        raise ValueError(f"the support kernel's row keys, {c_dim} x {math.prod(dims)} "
+                         f"(controls x basis states), do not fit int64")
     regs = sorted(controls + active)
     stride = {t: math.prod(dims[t + 1:]) for t in regs}
     runs, start = [], 0
@@ -398,7 +404,8 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
     multiplies.  Returns the indices, ascending, their amplitudes, and
     the summed norms of what each group dropped, which bounds the distance
     to the exact result since every group is unitary.  The inputs are
-    never written.
+    never written.  MemoryError, before a group's (K, A) arrays are
+    allocated, when they would not fit in physical memory.
     """
     dims = tuple(int(d) for d in dims)
     space = math.prod(dims)
@@ -419,6 +426,15 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
         key = key[order]
         new = _run_starts(key)
         rows = key[new]
+        # bytes held at once: 49 per entry of the support (index 8, amplitude
+        # 16, local 8, key 8, order 8, new 1), and per (K, A) entry 89: x and
+        # y 16 each, modulus 8, mask 1, kept 8, row and value 8 each, and the
+        # new index 8 and amplitude 16 should every entry be kept
+        need = 49 * index.size + 89 * rows.size * a_dim
+        if need > PHYSICAL_MEMORY:
+            raise MemoryError(f"the support kernel needs about {need / 2**30:.3g} GiB for a "
+                              f"group of {rows.size} rows of {a_dim}, over the "
+                              f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
         # row 0 of x is a spare, so the running count of new keys is the row
         x = np.zeros((rows.size + 1) * a_dim, dtype=np.complex128)
         x[new.cumsum() * a_dim + active[local[order]]] = amplitudes[order]
@@ -470,7 +486,7 @@ def marginals(layout: RegisterLayout, index: np.ndarray, weights: np.ndarray,
     any order, one per list of physical registers in `supports`: the weights
     binned by each register's digit (index // stride) % dim, one axis per
     register of the list, in increasing register order."""
-    dims = [int(d) for d in layout.dims]
+    dims = layout.dims
     physical = len(layout.physical_dims)
     out = []
     for support in supports:

@@ -416,7 +416,7 @@ def _fuse(layout: RegisterLayout, ops) -> tuple[GateGroup, ...]:
     _FUSE_MAX_DIM**2; its blocks come from pushing the members through
     the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
     """
-    dims = tuple(int(d) for d in layout.dims)
+    dims = layout.dims
     v = len(layout.geometry.vertices)
     groups: list[GateGroup] = []
     members: list[GateGroup] = []
@@ -475,8 +475,7 @@ def execute_support(schedule: Schedule, index: np.ndarray,
     """Run the step's fused plan on a state given on its support: full-space
     basis indices and their amplitudes.  Returns the new support and the
     norm `lattice.run_support` dropped."""
-    return run_support(_plan(schedule), tuple(int(d) for d in schedule.layout.dims),
-                       index, amplitudes)
+    return run_support(_plan(schedule), schedule.layout.dims, index, amplitudes)
 
 
 def schedule_physical_map(schedule: Schedule,
@@ -499,7 +498,7 @@ def schedule_physical_map(schedule: Schedule,
     anc = layout.ancilla_dim
     v = len(layout.geometry.vertices)
     rest = layout.physical_dim >> v
-    dims = tuple(int(d) for d in layout.dims)
+    dims = layout.dims
     plan = _plan(schedule, op_range)
     full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
     dropped = 0.0

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -107,13 +108,16 @@ def test_unrunnable_geometry_exits_2(tmp_path):
     assert proc.stderr.startswith("error:") and "ancilla" in proc.stderr
 
 
-def test_oversized_quench_exits_2(tmp_path):
-    """A 3x3 quench needs about 985 GiB; the preflight refuses it before allocating."""
-    if 3 * 16 * 22_039_921_152 <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        pytest.skip("this host could hold a 3x3 quench")
-    proc = run_cli("quench", "--config", write_config(tmp_path, Lx=3, Ly=3))
+@pytest.mark.parametrize("Lx, Ly", [(4, 4), (5, 3)])
+def test_quench_past_int64_exits_2(tmp_path, Lx, Ly):
+    """4x4 basis indices and 5x3 row keys do not fit int64; both quenches
+    exit 2 before the support grows."""
+    start = time.monotonic()
+    proc = run_cli("quench", "--config", write_config(tmp_path, Lx=Lx, Ly=Ly))
+    assert time.monotonic() - start < 60
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error:") and "physical memory" in proc.stderr
+    assert proc.stderr.startswith("error:") and "do not fit int64" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_negative_seed_exits_2(tmp_path):
@@ -128,6 +132,13 @@ def test_negative_shots_exits_2(tmp_path):
     proc = run_cli("quench", "--config", cfg, "--shots", "-4")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "shots" in proc.stderr
+
+
+def test_shots_without_out_exits_2(tmp_path):
+    cfg = write_config(tmp_path, n_steps=2)
+    proc = run_cli("quench", "--config", cfg, "--shots", "5")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: --shots 5 needs --out")
 
 
 def test_shots_is_a_quench_flag():

@@ -1,7 +1,6 @@
 """End-to-end drivers: quench, verification battery, scans, compile dump."""
 
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -21,7 +20,6 @@ from zngauge.drivers import (
     CheckResult,
     flux_sector_probabilities,
     measure_configuration,
-    quench_footprint_bytes,
     run_compile,
     run_optical_scan,
     run_quench,
@@ -382,16 +380,26 @@ def test_manifest_records_the_environment(tmp_path):
         assert key in manifest, key
 
 
-def test_quench_footprint_is_the_state_and_two_buffers(layout22):
-    # the 6 * 243 basis states with the singlet's 2 fermions, and the kernel's two buffers of them
-    assert quench_footprint_bytes(layout22) == 16 * 3 * 1458 == 69_984
-    big = SimulationConfig(Lx=3, Ly=3)
-    need = quench_footprint_bytes(big.build_geometry())
-    assert need == 16 * 3 * (22_039_921_152 // 512 * 126)
-    if need <= os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"):
-        pytest.skip("this host could hold a 3x3 quench")
-    with pytest.raises(MemoryError, match="physical memory"):
-        run_quench(big)
+def test_support_kernel_refuses_a_group_over_physical_memory(monkeypatch, capsys):
+    """With no memory to spare, the first wide group of a 2x2 quench raises
+    MemoryError in run_support before its (K, A) arrays exist, and the CLI
+    exits 2 with the message."""
+    monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 0)
+    with pytest.raises(MemoryError, match="physical memory") as info:
+        run_quench(SimulationConfig(n_steps=1))
+    frame = info.traceback[-1]
+    assert frame.name == "run_support"
+    assert frame.locals["a_dim"] > 1 and "x" not in frame.locals
+    assert cli.main(["quench"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the support kernel needs") and "physical memory" in err
+
+
+def test_3x3_direct_quench_keeps_the_gauss_law():
+    """One direct step on 3x3, the smallest lattice with a bulk vertex."""
+    rows = run_quench(SimulationConfig(Lx=3, Ly=3, mode="direct", n_steps=1))
+    assert all(r["gauss_max_deviation"] <= 1e-10 for r in rows)
+    assert all(r["truncated_norm"] <= lattice.NORM_TOL for r in rows)
 
 
 def test_sampled_quench_never_holds_the_full_state(tmp_path):
@@ -436,12 +444,13 @@ def test_quench_observables_allocate_no_physical_array():
 
 
 def test_quench_peak_memory_is_its_footprint():
-    """A warm 3x2 choreography quench stays within its footprint, never
-    holding a full-space state."""
+    """A warm 3x2 choreography quench stays within 48 B for each of the
+    393,660 basis states with the singlet's 3 fermions, never holding a
+    full-space state."""
     config = SimulationConfig(Lx=3, Ly=2, n_steps=2)
     layout = config.build_geometry()
-    footprint = quench_footprint_bytes(layout)
-    assert footprint < 16 * layout.total_dim
+    footprint = 48 * 393_660
+    assert footprint == 18_895_680 < 16 * layout.total_dim
     run_quench(config)
     tracemalloc.start()
     try:

@@ -69,7 +69,7 @@ def test_link_classes_by_tail_parity():
 def test_layout_register_ordering(layout22):
     kinds = [r.kind for r in layout22.registers]
     assert kinds == ["fermion"] * 4 + ["link"] * 4 + ["ancilla"]
-    assert layout22.dims.tolist() == [2, 2, 2, 2, 3, 3, 3, 3, 3]
+    assert list(layout22.dims) == [2, 2, 2, 2, 3, 3, 3, 3, 3]
     assert layout22.total_dim == 3888
     assert layout22.physical_dim == 1296
     # links appear in sorted order
@@ -82,7 +82,7 @@ def test_layout_is_deterministic():
     a = build_layout(LatticeGeometry(3, 2), 3)
     b = build_layout(LatticeGeometry(3, 2), 3)
     assert a.registers == b.registers
-    assert a.dims.tolist() == b.dims.tolist()
+    assert list(a.dims) == list(b.dims)
 
 
 @pytest.mark.parametrize("L", [4, 8])

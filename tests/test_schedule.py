@@ -24,9 +24,9 @@ from zngauge.lattice import (
     block_group,
     build_layout,
     gate_group,
+    is_even,
     project_support,
     run_gates,
-    singlet_fermion_number,
     singlet_support,
     total_fermion_number,
 )
@@ -400,7 +400,8 @@ def test_support_kernel_matches_run_gates(geo, mode, order, policy, start):
     if start == "sparse":
         v = len(lay.geometry.vertices)
         count = np.indices((2,) * v).reshape(v, -1).sum(axis=0)
-        inside = np.flatnonzero(np.repeat(count == singlet_fermion_number(lay), size >> v))
+        n = sum(not is_even(x) for x in lay.geometry.vertices)   # the singlet's odd sites
+        inside = np.flatnonzero(np.repeat(count == n, size >> v))
         rng = np.random.default_rng(41)
         index = np.sort(rng.choice(inside, size=inside.size // 20, replace=False))
         values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
