@@ -265,12 +265,17 @@ class GateGroup:
     `blocks` has shape (C, A, A): one block on the `active` registers per
     control value, C and A being the products of the control and active
     dims, both indexed in the mixed-radix order of their registers.  A
-    diagonal gate has A = 1, a gate with no control C = 1.
+    diagonal gate has A = 1, a gate with no control C = 1.  A monomial
+    group, whose every block column holds exactly one nonzero, also keeps
+    that nonzero's row `perm[c, a]` and value `phase[c, a]`, both (C, A);
+    they are None on any other group.
     """
 
     controls: tuple[int, ...]
     active: tuple[int, ...]
     blocks: np.ndarray
+    perm: np.ndarray | None = None
+    phase: np.ndarray | None = None
 
     @property
     def targets(self) -> tuple[int, ...]:
@@ -289,7 +294,8 @@ def check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
 
 
 def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> GateGroup:
-    """Check targets, shape and per-block unitarity of a stack of blocks."""
+    """Check targets, shape and per-block unitarity of a stack of blocks, and
+    keep the (perm, phase) table of a monomial stack."""
     targets = check_targets(dims, tuple(controls) + tuple(active))
     controls, active = targets[:len(controls)], targets[len(controls):]
     c_dim = math.prod(dims[t] for t in controls)
@@ -300,7 +306,14 @@ def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> 
     err = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(a_dim)).max()
     if err > UNITARITY_TOL:
         raise ValueError(f"gate not unitary: max |U!U - 1| = {err:.3e}")
-    return GateGroup(controls, active, blocks)
+    nonzero = blocks != 0
+    if not (nonzero.sum(axis=1) == 1).all():
+        return GateGroup(controls, active, blocks)
+    perm = nonzero.argmax(axis=1)
+    phase = np.take_along_axis(blocks, perm[:, None, :], axis=1)[:, 0]
+    for table in (perm, phase):
+        table.setflags(write=False)
+    return GateGroup(controls, active, blocks, perm, phase)
 
 
 def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
@@ -396,16 +409,19 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
 
     `index` holds distinct basis indices of `dims` and `amplitudes` their
     amplitudes; every other amplitude is zero.  Per group, each index
-    splits into its non-active digits, its control value and its active
-    value: the entries are gathered into (K, A) rows, one per non-active
-    digit string present, one matmul per control value present applies
-    the blocks, and the rows are scattered back with every amplitude of
-    modulus at most SUPPORT_TOL dropped; a group with A = 1 only
-    multiplies.  Returns the indices, ascending, their amplitudes, and
-    the summed norms of what each group dropped, which bounds the distance
-    to the exact result since every group is unitary.  The inputs are
-    never written.  MemoryError, before a group's (K, A) arrays are
-    allocated, when they would not fit in physical memory.
+    splits into its non-active digits, its control value c and its active
+    value a.  A monomial group (A = 1 is its diagonal case) maps each
+    entry on its own: the index moves by offsets[perm[c, a]] - offsets[a]
+    and the amplitude takes phase[c, a], so the support keeps its size.
+    Any other group gathers the entries into (K, A) rows, one per
+    non-active digit string present, applies the blocks by one matmul per
+    control value present, and scatters the rows back with every amplitude
+    of modulus at most SUPPORT_TOL dropped.  Returns the indices,
+    ascending, their amplitudes, and the summed norms of what each group
+    dropped, which bounds the distance to the exact result since every
+    group is unitary.  The inputs are never written.  MemoryError, before
+    a gathering group's (K, A) arrays are allocated, when they would not
+    fit in physical memory.
     """
     dims = tuple(int(d) for d in dims)
     space = math.prod(dims)
@@ -418,8 +434,10 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
             digits = digits if leading else digits % size
             local = digits if local is None else local * size + digits
         n_blk, a_dim = g.blocks.shape[:2]
-        if a_dim == 1:
-            amplitudes = amplitudes * g.blocks[control[local], 0, 0]
+        if g.perm is not None:
+            amplitudes = amplitudes * g.phase[control, active][local]
+            if a_dim > 1:
+                index = index + (offsets[g.perm[control, active]] - offsets[active])[local]
             continue
         key = index + shift[local]
         order = key.argsort()

@@ -35,7 +35,8 @@ from .lattice import (
     run_support,
 )
 from .algebra import Couplings, monomial_map
-from .stators import COLLISION_ANGLE, GateOp, gate_matrix, plaquette_stator_sequence
+from .stators import (COLLISION_ANGLE, FRAME_STEPS, GateOp, framed_op, gate_matrix,
+                      plaquette_stator_sequence)
 
 GRADIENT_TOL = 1e-12
 
@@ -410,19 +411,31 @@ def _member(dims: tuple[int, ...], v: int, name: str, params: tuple[float, ...],
 def _fuse(layout: RegisterLayout, ops) -> tuple[GateGroup, ...]:
     """Greedy fusion of consecutive non-idle ops into checked gate groups.
 
-    A register is a control of a group when every member that targets it
-    leaves it a control, so the product keeps their exact zeros.  A group
-    grows while its stored block entries C*A**2 stay within
-    _FUSE_MAX_DIM**2; its blocks come from pushing the members through
-    the gate kernel on the columns sum_c |c>|a'>, one per active value a'.
+    A dft op is checked and then only moves its register's Fourier frame;
+    every other op joins as its exact conjugate by the frames of its
+    targets (`stators.framed_op`), so the plan equals the op product once
+    every frame is closed.  ValueError when a frame is still open after
+    the last op.  A register is a control of a group when every member
+    that targets it leaves it a control, so the product keeps their exact
+    zeros.  A group grows while its stored block entries C*A**2 stay
+    within _FUSE_MAX_DIM**2; its blocks come from pushing the members
+    through the gate kernel on the columns sum_c |c>|a'>, one per active
+    value a'.
     """
     dims = layout.dims
     v = len(layout.geometry.vertices)
+    frames: dict[int, int] = {}
     groups: list[GateGroup] = []
     members: list[GateGroup] = []
     for op in ops:
         if op.name == "idle":
             continue
+        if op.name in FRAME_STEPS:
+            _member(dims, v, op.name, op.params, op.targets)
+            (t,) = op.targets
+            frames[t] = (frames.get(t, 0) + FRAME_STEPS[op.name]) % 4
+            continue
+        op = framed_op(op, tuple(frames.get(t, 0) for t in op.targets))
         member = _member(dims, v, op.name, op.params, op.targets)
         controls, active = _split(members + [member])
         c_dim = math.prod(dims[t] for t in controls)
@@ -431,6 +444,10 @@ def _fuse(layout: RegisterLayout, ops) -> tuple[GateGroup, ...]:
             groups.append(_stack(dims, members))
             members = []
         members.append(member)
+    open_frames = {t: k for t, k in frames.items() if k}
+    if open_frames:
+        raise ValueError("Fourier frames open at the end of the op range: " + ", ".join(
+            f"register {t} in frame {k}" for t, k in sorted(open_frames.items())))
     if members:
         groups.append(_stack(dims, members))
     return tuple(groups)

@@ -10,7 +10,9 @@ U_i (1 (x) |in>) Q!, which is what lets a drive on the ancilla act as a
 group operator on the link after disentangling.
 
 This module also owns the serializable gate vocabulary (GateOp plus
-gate_matrix) that the sequence compiler emits and the executor consumes.
+gate_matrix) that the sequence compiler emits and the executor consumes,
+and the Fourier-frame rules (framed_op) by which plan building runs ops
+between a dft and its adjoint without the basis changes.
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ def _q_entangler(d: tuple[int, ...]) -> np.ndarray:
     return u.reshape(N * N, N * N)
 
 
+def _fermion_shift(d: tuple[int, ...]) -> np.ndarray:
+    """|0><0| (x) 1 + |1><1| (x) Q on (fermion, ancilla)."""
+    q = make_link_algebra(d[1]).q
+    return np.kron(np.diag([1.0, 0.0]), np.eye(d[1])) + np.kron(np.diag([0.0, 1.0]), q)
+
+
 def _clock_sum(d: tuple[int, ...]) -> np.ndarray:
     q = make_link_algebra(d[0]).q
     return q + q.conj().T
@@ -101,6 +109,7 @@ _GATES = {
     # (fermion, ancilla); i log P is Hermitian since log P is anti-Hermitian
     "fermion_anc_phase": (lambda d: len(d) == 2 and d[0] == 2, 0, "generator",
                           lambda d: np.kron(NUMBER_OP, 1j * make_link_algebra(d[1]).log_p)),
+    "fermion_anc_shift": (lambda d: len(d) == 2 and d[0] == 2, 0, "unitary", _fermion_shift),
     **dict.fromkeys(("occupation_phase", "mass_phase"), (
         lambda d: d == (2,), 1, "generator", lambda d: NUMBER_OP)),
     "tunnel": (lambda d: len(d) >= 2 and set(d) == {2}, 1, "generator", _tunnel_coupling),
@@ -111,6 +120,31 @@ _GATES = {
     "electric_z3": (lambda d: len(d) == 1, 1, "generator", _electric("z3-implementation")),
 }
 GATE_VOCABULARY = tuple(_GATES)
+
+# Fourier frames: a register in frame k holds a state that dft**k takes to its true one, so
+# a dft op only moves k (mod 4) and every other op runs as its conjugate by the frames of
+# its targets, W! U W with W = dft**k on each.  (base name, params, frames) -> name of that
+# exact conjugate, a gate built from the clock/shift arrays; a _dag op takes the adjoint.
+FRAME_STEPS = {"dft_link": 1, "dft_link_dag": -1, "dft_anc": 1, "dft_anc_dag": -1}
+_FRAMED = {
+    ("collision_zz", (COLLISION_ANGLE,), (1, 0)): "q_entangler_dag",   # z3_collision_entangler
+    ("fermion_anc_phase", (), (0, 1)): "fermion_anc_shift",            # dft! P dft = Q
+    **{("flip_anc", (), (k,)): "flip_anc" for k in (1, 2, 3)},         # flip = dft**2
+}
+
+
+def framed_op(op: GateOp, frames: tuple[int, ...]) -> GateOp:
+    """`op` conjugated by the Fourier frames of its targets, one k (mod 4) per
+    target; ValueError when a frame is open and no rule covers the op."""
+    if not any(frames):
+        return op
+    dag = op.name.endswith("_dag")
+    name = _FRAMED.get((op.name[:-4] if dag else op.name, op.params, frames))
+    if name is None:
+        raise ValueError(f"gate {op.name!r} on registers {op.targets} has no rule for "
+                         f"their Fourier frames {frames}")
+    out = GateOp(name, op.targets, (), op.stage)
+    return out.dagger() if dag else out
 
 
 def gate_matrix(name: str, params: tuple[float, ...], target_dims: tuple[int, ...]) -> np.ndarray:

@@ -253,14 +253,15 @@ def test_verification_suite_all_green(verify_run):
 
 
 def test_verify_reports_a_substep_that_leaves_its_ancilla(monkeypatch, capsys, request):
-    """With dft_anc_dag replaced by the identity, the choreography substeps no
-    longer return their ancilla to |in~>: `verify` reports ancilla_restoration
-    as FAIL and exits 1 instead of raising."""
+    """With fermion_anc_shift, which the plan runs for fermion_anc_phase inside
+    each dft_anc window, replaced by a bare dft on the ancilla, the
+    choreography substeps no longer return their ancilla to |in~>: `verify`
+    reports ancilla_restoration as FAIL and exits 1 instead of raising."""
     honest = schedule._cached_gate
 
     def broken(name, params, dims):
-        if name == "dft_anc_dag":
-            return np.eye(dims[0], dtype=np.complex128)
+        if name == "fermion_anc_shift":
+            return np.kron(np.eye(dims[0]), algebra.make_link_algebra(dims[1]).dft)
         return honest(name, params, dims)
 
     monkeypatch.setattr(schedule, "_cached_gate", broken)

@@ -1,12 +1,16 @@
 """Geometry, register layout, gate kernels, and the reads of a state."""
 
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_global_singlet, dense_weights, embed_on, random_unitary
 from zngauge.lattice import (
     LatticeGeometry,
+    block_group,
     born_sample,
     build_layout,
     check_normalized,
@@ -15,6 +19,7 @@ from zngauge.lattice import (
     marginals,
     project_support,
     run_gates,
+    run_support,
 )
 
 
@@ -238,6 +243,39 @@ def test_apply_gate_error_paths(layout22):
         run_gates((gate_group(dims, np.eye(9), [4, 4]),), dims, amp)
     with pytest.raises(ValueError):
         run_gates((gate_group(dims, np.eye(3), [9]),), dims, amp)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_monomial_groups_run_as_index_maps(data):
+    """A group whose blocks are permutations with unit phases, one per
+    control value, on drawn registers: the support kernel maps each entry
+    to what the dense kernel gives, keeps the support's size and drops
+    nothing."""
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), "dims"))
+    order = data.draw(st.permutations(range(len(dims))), "order")
+    n_active = data.draw(st.integers(1, len(dims)), "n_active")
+    n_control = data.draw(st.integers(0, len(dims) - n_active), "n_control")
+    active, controls = order[:n_active], order[n_active:n_active + n_control]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    c_dim = math.prod(dims[t] for t in controls)
+    a_dim = math.prod(dims[t] for t in active)
+    blocks = np.zeros((c_dim, a_dim, a_dim), dtype=np.complex128)
+    for c in range(c_dim):
+        blocks[c, rng.permutation(a_dim), np.arange(a_dim)] = np.exp(2j * np.pi * rng.random(a_dim))
+    group = block_group(dims, controls, active, blocks)
+    assert group.perm is not None
+    size = math.prod(dims)
+    index = np.sort(rng.choice(size, size=rng.integers(1, size + 1), replace=False))
+    values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    dense = np.zeros(size, dtype=np.complex128)
+    dense[index] = values
+    got_index, got_values, dropped = run_support((group,), dims, index, values)
+    assert dropped == 0 and got_index.size == index.size
+    assert np.all(np.diff(got_index) > 0)
+    got = np.zeros(size, dtype=np.complex128)
+    got[got_index] = got_values
+    assert np.abs(got - run_gates((group,), dims, dense)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("shape, policy, n", [((2, 2), "per_plaquette", 1),

@@ -527,16 +527,63 @@ def test_a_non_unitary_block_raises(layout22):
         block_group(dims, (f,), (link,), blocks[:, :2, :2])
 
 
-@pytest.mark.parametrize("geo, max_groups, max_active", [((2, 2), 8, 225), ((3, 2), 20, 453)])
-def test_controlled_fusion_census(cpl1, geo, max_groups, max_active):
-    """The choreography step's plan: its group count, and its multiply-adds
-    per amplitude (the sum of A over groups with A > 1); every group stores
-    at most _FUSE_MAX_DIM**2 block entries."""
+@pytest.mark.parametrize("geo, max_groups, min_monomial, max_gathered",
+                         [((2, 2), 8, 2, 171), ((3, 2), 20, 11, 210)])
+def test_controlled_fusion_census(cpl1, geo, max_groups, min_monomial, max_gathered):
+    """The choreography step's plan: its group count, its monomial groups with
+    A > 1, which the support kernel runs as index maps instead of gathering
+    them, and the multiply-adds per gathered amplitude (the sum of A over the
+    other groups with A > 1); every group stores at most _FUSE_MAX_DIM**2
+    block entries."""
     lay = build_layout(LatticeGeometry(*geo), 3)
     plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, "choreography", 1).ops)
-    active = sum(g.blocks.shape[1] for g in plan if g.blocks.shape[1] > 1)
-    assert len(plan) <= max_groups and active <= max_active
+    wide = [g for g in plan if g.blocks.shape[1] > 1]
+    monomial = sum(g.perm is not None for g in wide)
+    gathered = sum(g.blocks.shape[1] for g in wide if g.perm is None)
+    assert len(plan) <= max_groups and monomial >= min_monomial and gathered <= max_gathered
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
+
+
+def test_a_plan_that_cuts_a_fourier_window_raises(sched_cho1):
+    """An op range ending inside a dft_anc window leaves that ancilla's
+    frame open; the plan build names the register."""
+    start = next(i for i, op in enumerate(sched_cho1.ops) if op.name == "dft_anc")
+    anc = sched_cho1.ops[start].targets[0]
+    with pytest.raises(ValueError, match=f"register {anc} in frame 1"):
+        schedule_module._plan(sched_cho1, (0, start + 1))
+    schedule_module._plan(sched_cho1, (0, start))
+
+
+@pytest.mark.parametrize("opened, name, params", [
+    ((8,), "anc_drive", (0.3,)),                  # no rule for the gate
+    ((4,), "collision_zz", (0.7,)),               # none at another angle
+    ((4, 8), "collision_zz", (COLLISION_ANGLE,))])  # none with both registers framed
+def test_an_op_on_an_open_frame_without_a_rule_raises(layout22, opened, name, params):
+    """dft ops open frames on link 4 and ancilla 8 around a gate that no
+    frame rule covers there."""
+    dft = {4: "dft_link", 8: "dft_anc"}
+    targets = (8,) if name == "anc_drive" else (4, 8)
+    ops = ([GateOp(dft[t], (t,), (), 1) for t in opened] + [GateOp(name, targets, params, 1)]
+           + [GateOp(dft[t] + "_dag", (t,), (), 1) for t in opened])
+    with pytest.raises(ValueError, match="no rule"):
+        execute_support(Schedule(layout22, tuple(ops), ()), *singlet_support(layout22))
+
+
+def test_framed_plan_never_spreads_the_support_past_the_step_end(cpl1):
+    """Run group by group from the 3x2 singlet for two steps: with the dft
+    sandwiches folded into frames, no group holds more entries than the
+    step ends with."""
+    lay = build_layout(LatticeGeometry(3, 2), 3)
+    sched = compile_step(lay, cpl1, TAU, "choreography", 1)
+    assert {"dft_link", "dft_anc", "collision_zz", "fermion_anc_phase"} <= {
+        op.name for op in sched.ops}
+    index, values = singlet_support(lay)
+    for _ in range(2):
+        sizes = []
+        for group in schedule_module._plan(sched):
+            index, values, _ = lattice_module.run_support((group,), lay.dims, index, values)
+            sizes.append(index.size)
+        assert max(sizes) == sizes[-1]
 
 
 def column_map(sched, cols, op_range=None):

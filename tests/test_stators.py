@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import build_global_singlet, taylor_expm
+from zngauge.algebra import make_link_algebra
 from zngauge.lattice import gate_group, project_support, run_gates
 from zngauge.stators import (
     COLLISION_ANGLE,
@@ -14,6 +15,7 @@ from zngauge.stators import (
     collision_unitary,
     eta_couplings,
     flip_matrix,
+    framed_op,
     gate_matrix,
     n0_pair_phase,
     plaquette_stator_sequence,
@@ -49,6 +51,7 @@ GATE_CASES = {
     "collision_zz": ((0.7,), (3, 3)),
     "q_entangler": ((), (3, 3)),
     "fermion_anc_phase": ((), (2, 3)),
+    "fermion_anc_shift": ((), (2, 3)),
     "occupation_phase": ((0.3,), (2,)),
     "mass_phase": ((1.1,), (2,)),
     "tunnel": ((0.45,), (2, 2)),
@@ -150,6 +153,29 @@ def test_fermion_anc_phase_diagonal(alg3):
     reps = np.array([0.0, 1.0, -1.0])
     want = np.diag(np.concatenate([np.ones(3), np.exp(2j * np.pi * reps / 3)]))
     np.testing.assert_allclose(u, want, atol=1e-13)
+
+
+@pytest.mark.parametrize("op, frames", [
+    (GateOp("collision_zz", (0, 1), (COLLISION_ANGLE,)), (1, 0)),
+    (GateOp("collision_zz_dag", (0, 1), (COLLISION_ANGLE,)), (1, 0)),
+    (GateOp("fermion_anc_phase", (0, 1)), (0, 1)),
+    (GateOp("fermion_anc_phase_dag", (0, 1)), (0, 1)),
+    (GateOp("flip_anc", (1,)), (1,)),
+    (GateOp("flip_anc", (1,)), (3,))])
+def test_frame_rules_are_exact_conjugates(op, frames):
+    """Each rule's gate is W! U W, W = dft**k on each target, to rounding; its
+    entries are those of a monomial matrix, so its zeros are exact."""
+    dims = (2, 3) if op.name.startswith("fermion") else (3,) * len(op.targets)
+    w = np.eye(1)
+    for d, k in zip(dims, frames):
+        w = np.kron(w, np.linalg.matrix_power(make_link_algebra(d).dft, k))
+    framed = framed_op(op, frames)
+    assert framed.targets == op.targets and framed.params == ()
+    got = gate_matrix(framed.name, framed.params, dims)
+    want = w.conj().T @ gate_matrix(op.name, op.params, dims) @ w
+    assert np.abs(got - want).max() < 1e-14
+    assert ((got != 0).sum(axis=0) == 1).all()
+    assert framed_op(op, (0,) * len(frames)) is op
 
 
 def test_tunnel_gate_with_ordering_string():
