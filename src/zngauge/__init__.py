@@ -12,8 +12,7 @@ from .lattice import (LatticeGeometry, Register, RegisterLayout, born_sample,
                       build_layout, marginals, singlet_support, total_fermion_number)
 from .algebra import (Couplings, LinkAlgebra, gauss_expectations,
                       gauss_law_operator, make_link_algebra,
-                      random_gauge_invariant_physical, term_matrix,
-                      total_hamiltonian)
+                      random_gauge_invariant_physical, total_hamiltonian)
 from .stators import (GATE_VOCABULARY, GateOp, collision_calibration,
                       eta_couplings, gate_matrix, plaquette_stator_sequence,
                       stator_entangler, z3_collision_entangler)

@@ -440,11 +440,6 @@ def hamiltonian_edges(layout: RegisterLayout, names, couplings: Couplings):
                           np.concatenate(vals))
 
 
-def term_matrix(layout: RegisterLayout, name: str, couplings: Couplings) -> np.ndarray:
-    """Dense physical matrix of a named term, honoring the electric variant."""
-    return edges_to_dense(hamiltonian_edges(layout, [name], couplings))
-
-
 def total_hamiltonian(layout: RegisterLayout, couplings: Couplings) -> np.ndarray:
     """Sum of the eight terms on the physical registers."""
     return edges_to_dense(hamiltonian_edges(layout, TERM_NAMES, couplings))

@@ -346,11 +346,14 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
     distance is the exact spectral norm of the step map's M-th power minus
     exp(-iHT), taken one block of H at a time; bound is the paper's
     product-formula bound for an LxL lattice (ValueError on any other
-    shape), gate_count that of one step.
+    shape, and on T <= 0, where every distance is rounding noise against
+    a zero bound), gate_count that of one step.
     """
     L, Ly = layout.geometry.Lx, layout.geometry.Ly
     if L != Ly:
         raise ValueError(f"the Trotter bound is stated for LxL lattices, got {L}x{Ly}")
+    if T <= 0:
+        raise ValueError(f"a Trotter error needs T > 0, got T = {T}")
     evolver = ExactEvolver(hamiltonian_edges(layout, TERM_NAMES, cpl))
     lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
     out = []
@@ -363,11 +366,14 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
 
 
 def run_trotter_scan(config: SimulationConfig, out_dir: str | None = None) -> list[dict]:
-    """Error-vs-step-count sweep on the 2x2 lattice against the exact propagator."""
+    """Error-vs-step-count sweep on the 2x2 lattice against the exact propagator;
+    ValueError on nonzero angles, whose step is exp(-iHT) only up to a gauge."""
+    if config.theta or config.theta_prime:
+        raise ValueError("trotter-scan compares the step with exp(-iHT) and needs "
+                         f"theta = theta' = 0, got {config.theta}, {config.theta_prime}")
     lay = dense_layout(config, "trotter-scan")
     cpl = config.couplings()
-    errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, config.order, config.mode,
-                            theta=config.theta, theta_prime=config.theta_prime)
+    errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, config.order, config.mode)
     norm_sum = exact_norm_sum(lay, cpl)
     rows = []
     for m, (dist, bnd, gates) in zip(SCAN_STEPS, errors):

@@ -96,21 +96,21 @@ class Schedule:
 # choreography emission helpers
 
 
-def _ui_ops(layout: RegisterLayout, link: Link, anc: int, stage: int,
-            dagger: bool = False) -> list[GateOp]:
+def _ui_ops(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout, link: Link,
+            anc: int, stage: int, dagger: bool = False):
     """Q-type entangler as its collision realization (dft, U'!, dft!)."""
     lr = layout.link_index(link)
     mid = "collision_zz" if dagger else "collision_zz_dag"
-    return [
+    stage_ops[stage] += [
         GateOp("dft_link", (lr,), (), stage),
         GateOp(mid, (lr, anc), (COLLISION_ANGLE,), stage),
         GateOp("dft_link_dag", (lr,), (), stage),
     ]
 
 
-def _gm_block(layout: RegisterLayout, link: Link, anc: int, coeff: float,
-              theta: float, theta_prime: float,
-              create: str = "full", undo: str = "full") -> dict[int, list[GateOp]]:
+def _gm_block(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout, link: Link,
+              anc: int, coeff: float, theta: float, theta_prime: float,
+              create: str = "full", undo: str = "full"):
     """One gauge-matter block at its class's GM_STAGES: P-stator, tunneling, teardown.
 
     create "convert" reuses a Q-stator already sitting on the link
@@ -120,66 +120,45 @@ def _gm_block(layout: RegisterLayout, link: Link, anc: int, coeff: float,
     s_create, s_fa, s_tun, s_flip, s_undo = GM_STAGES[geom.link_class(link)]
     f_o = layout.fermion_index(link[0])
     f_h = layout.fermion_index(geom.link_head(link))
-    out: dict[int, list[GateOp]] = {s: [] for s in (s_create, s_fa, s_tun, s_flip, s_undo)}
-
     if create == "full":
-        out[s_create] += _ui_ops(layout, link, anc, s_create)
-    out[s_create].append(GateOp("dft_anc", (anc,), (), s_create))
-
-    out[s_fa].append(GateOp("fermion_anc_phase", (f_o, anc), (), s_fa))
-    out[s_fa].append(GateOp("occupation_phase", (f_o,), (theta,), s_fa))
-
-    out[s_tun].append(GateOp("tunnel", tuple(range(f_o, f_h + 1)), (coeff,), s_tun))
-
-    out[s_flip] += [
+        _ui_ops(stage_ops, layout, link, anc, s_create)
+    stage_ops[s_create].append(GateOp("dft_anc", (anc,), (), s_create))
+    stage_ops[s_fa].append(GateOp("fermion_anc_phase", (f_o, anc), (), s_fa))
+    stage_ops[s_fa].append(GateOp("occupation_phase", (f_o,), (theta,), s_fa))
+    stage_ops[s_tun].append(GateOp("tunnel", tuple(range(f_o, f_h + 1)), (coeff,), s_tun))
+    stage_ops[s_flip] += [
         GateOp("flip_anc", (anc,), (), s_flip),
         GateOp("fermion_anc_phase", (f_o, anc), (), s_flip),
         GateOp("flip_anc", (anc,), (), s_flip),
         GateOp("occupation_phase", (f_o,), (theta_prime,), s_flip),
     ]
-
-    out[s_undo].append(GateOp("dft_anc_dag", (anc,), (), s_undo))
+    stage_ops[s_undo].append(GateOp("dft_anc_dag", (anc,), (), s_undo))
     if undo == "full":
-        out[s_undo] += _ui_ops(layout, link, anc, s_undo, dagger=True)
-    return out
+        _ui_ops(stage_ops, layout, link, anc, s_undo, dagger=True)
 
 
-def _even_plaquette_ops(layout: RegisterLayout, p: Vertex, anc: int,
-                        drive_coeff: float) -> dict[int, list[GateOp]]:
-    """Stages 11-17: assemble around the kept horizontal stator, drive, teardown."""
-    (l1, _), (l2, _), (l3, _), (l4, _) = layout.geometry.plaquette_links(p)
-    out: dict[int, list[GateOp]] = {s: [] for s in range(11, 18)}
-    out[11] += _ui_ops(layout, l2, anc, 11)                  # U2
-    out[12] += _ui_ops(layout, l3, anc, 12, dagger=True)     # U3!
-    out[13] += _ui_ops(layout, l4, anc, 13, dagger=True)     # U4!
-    out[14].append(GateOp("anc_drive", (anc,), (drive_coeff,), 14))
-    out[15] += _ui_ops(layout, l1, anc, 15, dagger=True)     # undo kept U1
-    out[16] += _ui_ops(layout, l3, anc, 16)
-    out[17] += _ui_ops(layout, l4, anc, 17)
-    return out
+# plaquette sandwich rows per parity (is_even): (stage, boundary link 1-4 in
+# plaquette_links order or 0 for anc_drive, adjoint).  The even sandwich
+# (11-17) assembles around the U1 its horizontal block kept; the odd one
+# (28-34) starts with U1
+PLAQUETTE_ROWS = {
+    True: ((11, 2, False), (12, 3, True), (13, 4, True), (14, 0, False),
+           (15, 1, True), (16, 3, False), (17, 4, False)),
+    False: ((28, 1, False), (29, 2, False), (30, 3, True), (30, 4, True), (31, 0, False),
+            (32, 4, False), (32, 3, False), (33, 2, True), (34, 1, True)),
+}
 
 
-def _odd_plaquette_ops(layout: RegisterLayout, q: Vertex, anc: int,
-                       drive_coeff: float, u1_kept: bool) -> dict[int, list[GateOp]]:
-    """Stages 28-34: the odd-parity plaquette sandwich."""
-    (l1, _), (l2, _), (l3, _), (l4, _) = layout.geometry.plaquette_links(q)
-    out: dict[int, list[GateOp]] = {s: [] for s in range(28, 35)}
-    if not u1_kept:
-        out[28] += _ui_ops(layout, l1, anc, 28)
-    out[29] += _ui_ops(layout, l2, anc, 29)
-    out[30] += _ui_ops(layout, l3, anc, 30, dagger=True)
-    out[30] += _ui_ops(layout, l4, anc, 30, dagger=True)
-    out[31].append(GateOp("anc_drive", (anc,), (drive_coeff,), 31))
-    out[32] += _ui_ops(layout, l4, anc, 32)
-    out[32] += _ui_ops(layout, l3, anc, 32)
-    out[33] += _ui_ops(layout, l2, anc, 33, dagger=True)
-    out[34] += _ui_ops(layout, l1, anc, 34, dagger=True)
-    return out
-
-
-def _merge(into: dict[int, list[GateOp]], part: dict[int, list[GateOp]]):
-    for s, ops in part.items():
-        into.setdefault(s, []).extend(ops)
+def _plaquette_ops(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout, p: Vertex,
+                   anc: int, drive_coeff: float, u1_kept: bool = False):
+    """The plaquette sandwich of p's parity; an odd one whose U1 is kept
+    skips the first row."""
+    links = [l for l, _ in layout.geometry.plaquette_links(p)]
+    for stage, k, adjoint in PLAQUETTE_ROWS[is_even(p)][1 if u1_kept else 0:]:
+        if k:
+            _ui_ops(stage_ops, layout, links[k - 1], anc, stage, adjoint)
+        else:
+            stage_ops[stage].append(GateOp("anc_drive", (anc,), (drive_coeff,), stage))
 
 
 def _add_mass_electric(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout,
@@ -199,13 +178,9 @@ def _add_mass_electric(stage_ops: dict[int, list[GateOp]], layout: RegisterLayou
                                             (electric_time * cpl.lambda_e,), s_electric))
 
 
-def _flatten(stage_ops: dict[int, list[GateOp]], tail: dict[int, list[GateOp]]) -> list[GateOp]:
-    """Stages in order, an idle marker for each empty one, each followed by its tail."""
-    ops: list[GateOp] = []
-    for s in sorted(stage_ops):
-        ops.extend(stage_ops[s] or [GateOp("idle", (), (), s)])
-        ops.extend(tail.get(s, ()))
-    return ops
+def _flatten(stage_ops: dict[int, list[GateOp]]) -> list[GateOp]:
+    """Stages in order, an idle marker for each empty one."""
+    return [op for s in sorted(stage_ops) for op in stage_ops[s] or [GateOp("idle", (), (), s)]]
 
 
 def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
@@ -222,7 +197,6 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
     # busy[class] = ancillas serving suite blocks in its window; orphan blocks avoid them
     busy: dict[str, set[int]] = {cls: set() for cls in GM_STAGES}
     covered: set[Link] = set()
-    plaq_set = set(geom.plaquettes)
     handled_odd: set[Vertex] = set()
 
     gm_coeff = h * cpl.lambda_gm
@@ -233,45 +207,44 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
             continue
         anc = layout.ancilla_of_plaquette[p]
         q = (p[0] + 1, p[1])
-        keep_oh = q in plaq_set and layout.ancilla_of_plaquette.get(q) == anc
+        keep_oh = layout.ancilla_of_plaquette.get(q) == anc
 
         # the suite's blocks at their GM_STAGES, around the stage 11-17 sandwich
         suite = [((p, 2), {}), ((p, 1), {"undo": "keep"}), ((q, 2), {"create": "convert"})]
         if geom.link_exists((q, 1)):
             suite.append(((q, 1), {"undo": "keep" if keep_oh else "full"}))
         for link, ends in suite:
-            _merge(stage_ops, _gm_block(layout, link, anc, gm_coeff, theta, theta_prime, **ends))
+            _gm_block(stage_ops, layout, link, anc, gm_coeff, theta, theta_prime, **ends)
             covered.add(link)
             busy[geom.link_class(link)].add(anc)
-        _merge(stage_ops, _even_plaquette_ops(layout, p, anc, b_coeff))
+        _plaquette_ops(stage_ops, layout, p, anc, b_coeff)
 
         if keep_oh:
-            _merge(stage_ops, _odd_plaquette_ops(layout, q, anc, b_coeff, u1_kept=True))
+            _plaquette_ops(stage_ops, layout, q, anc, b_coeff, u1_kept=True)
             handled_odd.add(q)
 
     for q in geom.plaquettes:
-        if is_even(q) or q in handled_odd:
-            continue
-        anc = layout.ancilla_of_plaquette[q]
-        _merge(stage_ops, _odd_plaquette_ops(layout, q, anc, b_coeff, u1_kept=False))
+        if not is_even(q) and q not in handled_odd:
+            _plaquette_ops(stage_ops, layout, q, layout.ancilla_of_plaquette[q], b_coeff)
 
     # self-contained blocks for links no suite reached, one distinct free
     # ancilla each; overflow beyond the free pool runs as sequential whole
-    # blocks at a point where every ancilla is provably restored (the end
-    # of the ev window for the even classes, of the ov window for the odd).
-    # Same-class blocks commute, so either placement is exact.
-    window_tail: dict[int, list[GateOp]] = {}
+    # blocks at the end of a stage where every ancilla is provably restored
+    # (the end of the ev window for the even classes, of the ov window for
+    # the odd), which nothing appends to after this loop.  Same-class
+    # blocks commute, so either placement is exact.
     for cls in GM_STAGES:
         links = [l for l in geom.links if geom.link_class(l) == cls and l not in covered]
         free = [a for a in anc_regs if a not in busy[cls]]
         slot = GM_STAGES["ev" if cls[0] == "e" else "ov"][-1]
         for i, link in enumerate(links):
             if i < len(free):
-                _merge(stage_ops, _gm_block(layout, link, free[i], gm_coeff, theta, theta_prime))
+                _gm_block(stage_ops, layout, link, free[i], gm_coeff, theta, theta_prime)
             else:
-                block = _gm_block(layout, link, anc_regs[i % len(anc_regs)], gm_coeff,
-                                  theta, theta_prime)
-                window_tail.setdefault(slot, []).extend(_flatten(block, {}))
+                block: dict[int, list[GateOp]] = {s: [] for s in GM_STAGES[cls]}
+                _gm_block(block, layout, link, anc_regs[i % len(anc_regs)], gm_coeff,
+                          theta, theta_prime)
+                stage_ops[slot] += _flatten(block)
 
     # phase sweeps completing each parity class (sites that are not the
     # origin of any link of the class still need both angles once)
@@ -286,7 +259,7 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
             stage_ops[stage].append(GateOp("occupation_phase", (f,), (theta_prime,), stage))
 
     _add_mass_electric(stage_ops, layout, cpl, h, electric_time, 35, 35)
-    return _flatten(stage_ops, window_tail)
+    return _flatten(stage_ops)
 
 
 def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
@@ -310,16 +283,13 @@ def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
 
     for p in geom.plaquettes:
         s = 3 if is_even(p) else 6
-        anc = layout.ancilla_of_plaquette.get(p)
-        if anc is None:
-            raise ValueError(f"plaquette {p} lacks an ancilla for its sandwich")
         stage_ops[s] += [replace(op, stage=s) for op in plaquette_stator_sequence(layout, p)]
-        stage_ops[s].append(GateOp("anc_drive", (anc,), (b_coeff,), s))
+        stage_ops[s].append(GateOp("anc_drive", (layout.ancilla_of_plaquette[p],), (b_coeff,), s))
         stage_ops[s] += [replace(op, stage=s)
                          for op in plaquette_stator_sequence(layout, p, "inverse")]
 
     _add_mass_electric(stage_ops, layout, cpl, h, electric_time, 7, 8)
-    return _flatten(stage_ops, {})
+    return _flatten(stage_ops)
 
 
 def _substep_ranges(ops: list[GateOp], windows) -> tuple[tuple[str, int, int], ...]:
@@ -353,27 +323,23 @@ def compile_step(layout: RegisterLayout, couplings: Couplings, tau: float,
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
 
-    def emit(h, th, thp, e_time):
+    def emit(h, e_time):
         if mode == "choreography":
-            return _choreography_ops(layout, couplings, h, th, thp, e_time)
+            return _choreography_ops(layout, couplings, h, theta, theta_prime, e_time)
         return _direct_ops(layout, couplings, h, e_time)
 
     windows = CHOREOGRAPHY_SUBSTEPS if mode == "choreography" else DIRECT_SUBSTEPS
     if order == 1:
-        ops = emit(tau, theta, theta_prime, tau)
+        ops = emit(tau, tau)
         substeps = _substep_ranges(ops, windows)
     else:
-        h = tau / 2
-        fwd = emit(h, theta, theta_prime, tau)
-        mirror_src = emit(-h, theta, theta_prime, None)
-        mirror = [op.dagger() for op in reversed(mirror_src)]
-        ops = fwd + mirror
-        fwd_sub = _substep_ranges(fwd, windows)
-        n_fwd, n_mir = len(fwd), len(mirror_src)
-        mir_sub = []
-        for label, a, b in reversed(_substep_ranges(mirror_src, windows)):
-            mir_sub.append(("mirror_" + label, n_fwd + n_mir - b, n_fwd + n_mir - a))
-        substeps = fwd_sub + tuple(mir_sub)
+        fwd = emit(tau / 2, tau)
+        mirror_src = emit(-tau / 2, None)
+        ops = fwd + [op.dagger() for op in reversed(mirror_src)]
+        # the mirror's substeps, each reversed onto its place in ops
+        substeps = _substep_ranges(fwd, windows) + tuple(
+            ("mirror_" + label, len(ops) - b, len(ops) - a)
+            for label, a, b in reversed(_substep_ranges(mirror_src, windows)))
 
     return Schedule(layout, tuple(ops), substeps)
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from zngauge.algebra import Couplings, make_link_algebra, term_factor_maps
+from zngauge.algebra import (Couplings, edges_to_dense, hamiltonian_edges, make_link_algebra,
+                             term_factor_maps)
 from zngauge.lattice import (LatticeGeometry, build_layout, gate_group, project_support, run_gates,
                              singlet_support)
 from zngauge.schedule import _plan
@@ -95,6 +96,11 @@ def embed_physical(layout, factors):
             continue
         out = np.kron(out, factors.get(i, np.eye(r.dim)))
     return out
+
+
+def dense_term(layout, name, couplings):
+    """Dense physical matrix of one named Hamiltonian piece, from its edge list."""
+    return edges_to_dense(hamiltonian_edges(layout, [name], couplings))
 
 
 def term_support(layout, name, couplings):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import zngauge.algebra as algebra_module
-from conftest import (apply_factors, brute_force_term, build_global_singlet, dense_weights,
-                      embed_physical, physical_singlet, taylor_expm, term_support)
+from conftest import (apply_factors, brute_force_term, build_global_singlet, dense_term,
+                      dense_weights, embed_physical, physical_singlet, taylor_expm, term_support)
 from zngauge.algebra import (
     TERM_NAMES,
     Couplings,
@@ -24,7 +24,6 @@ from zngauge.algebra import (
     random_gauge_invariant_physical,
     symmetric_representatives,
     term_factor_maps,
-    term_matrix,
     total_hamiltonian,
 )
 from zngauge.lattice import LatticeGeometry, build_layout
@@ -185,7 +184,7 @@ def test_hermitian_blocks_of_an_empty_edge_list():
 def test_hamiltonian_edges_give_the_dense_route_blocks_bit_for_bit(layout22, names):
     cpl = Couplings(0.7, 1.3, 0.9, 1.1)
     edges = hamiltonian_edges(layout22, names, cpl)
-    dense = total_hamiltonian(layout22, cpl) if len(names) > 1 else term_matrix(
+    dense = total_hamiltonian(layout22, cpl) if len(names) > 1 else dense_term(
         layout22, names[0], cpl)
     dim, rows, cols, vals = edges
     assert dim == layout22.physical_dim
@@ -321,7 +320,7 @@ def test_electric_variants(alg3):
 
 def test_term_hermiticity_and_support(layout22, cpl1):
     for name in TERM_NAMES:
-        m = term_matrix(layout22, name, cpl1)
+        m = dense_term(layout22, name, cpl1)
         support = term_support(layout22, name, cpl1)
         assert np.abs(m - m.conj().T).max() < 1e-12, name
         if name == "Bo":
@@ -331,7 +330,7 @@ def test_term_hermiticity_and_support(layout22, cpl1):
         else:
             assert support
     with pytest.raises(ValueError):
-        term_matrix(layout22, "X", cpl1)
+        dense_term(layout22, "X", cpl1)
 
 
 @pytest.mark.parametrize("shape, N", [((1, 3), 3), ((2, 2), 2)])
@@ -342,7 +341,7 @@ def test_terms_match_brute_force_construction(shape, N, variant):
     cpl = Couplings(lambda_e=0.7, lambda_b=1.3, lambda_gm=0.9, mass=1.1, h_e_variant=variant)
     for name in TERM_NAMES:
         want = brute_force_term(layout, name, cpl)
-        assert np.abs(term_matrix(layout, name, cpl) - want).max() < 1e-12, name
+        assert np.abs(dense_term(layout, name, cpl) - want).max() < 1e-12, name
 
 
 def _commutator_with_local(h, op, reg, dims):
@@ -366,7 +365,7 @@ def test_term_support_is_where_the_matrix_acts(shape):
     dims = [r.dim for r in layout.registers if r.kind != "ancilla"]
     cpl = Couplings(lambda_e=0.7, lambda_b=1.3, lambda_gm=0.9, mass=1.1)
     for name in TERM_NAMES:
-        h = term_matrix(layout, name, cpl)
+        h = dense_term(layout, name, cpl)
         support = term_support(layout, name, cpl)
         for reg, d in enumerate(dims):
             op = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -386,7 +385,7 @@ def test_term_commutation_census(layout22, cpl1):
     with the mass term, and two gauge-matter blocks clash exactly when
     they share a vertex.
     """
-    mats = {name: term_matrix(layout22, name, cpl1) for name in TERM_NAMES}
+    mats = {name: dense_term(layout22, name, cpl1) for name in TERM_NAMES}
 
     def comm(a, b):
         return np.abs(mats[a] @ mats[b] - mats[b] @ mats[a]).max()
@@ -406,7 +405,7 @@ def test_every_term_commutes_with_gauss(layout22, cpl1):
         for v in layout22.geometry.vertices
     ]
     for name in TERM_NAMES:
-        m = term_matrix(layout22, name, cpl1)
+        m = dense_term(layout22, name, cpl1)
         for th in thetas:
             assert np.abs(m @ th - th @ m).max() < 1e-13, name
 
@@ -415,7 +414,7 @@ def test_magnetic_spectrum_matches_flux_cosine(layout22, cpl1):
     """Even-plaquette energy eigenvalues are 2 lambda_b cos(2 pi phi / 3)
     with phi the oriented flux; the multiset over link configurations is
     compared against an explicitly summed oracle."""
-    m = term_matrix(layout22, "Be", cpl1)
+    m = dense_term(layout22, "Be", cpl1)
     # fermion-vacuum block: the first 81 physical indices vary only the links
     block = m[:81, :81]
     assert np.abs(m[:81, 81:]).max() < 1e-15
@@ -433,7 +432,7 @@ def test_magnetic_spectrum_matches_flux_cosine(layout22, cpl1):
 
 def test_mass_term_counts_staggered_charge(layout22):
     cpl = Couplings(mass=0.7)
-    m = term_matrix(layout22, "M", cpl)
+    m = dense_term(layout22, "M", cpl)
     phys = physical_singlet(layout22)
     energy = np.vdot(phys, m @ phys).real
     # two occupied odd vertices at staggered sign -1 each
@@ -442,7 +441,7 @@ def test_mass_term_counts_staggered_charge(layout22):
 
 def test_total_hamiltonian_is_sum_of_terms(layout22, cpl1):
     total = total_hamiltonian(layout22, cpl1)
-    summed = sum(term_matrix(layout22, name, cpl1) for name in TERM_NAMES)
+    summed = sum(dense_term(layout22, name, cpl1) for name in TERM_NAMES)
     assert np.abs(total - summed).max() < 1e-12
     assert np.abs(total - total.conj().T).max() < 1e-12
 

@@ -77,6 +77,20 @@ def test_trotter_scan_on_another_lattice_exits_2(tmp_path):
     assert proc.stderr.startswith("error:") and "trotter-scan" in proc.stderr
 
 
+@pytest.mark.parametrize("command, fields, message", [
+    ("trotter-scan", {"T": 0}, "T > 0"),
+    ("verify", {"T": 0}, "T > 0"),
+    ("trotter-scan", {"theta": 0.3, "theta_prime": 0.7}, "theta = theta' = 0"),
+], ids=["scan-T0", "verify-T0", "scan-phased"])
+def test_meaningless_trotter_distances_exit_2(tmp_path, command, fields, message):
+    """At T = 0 every distance is rounding noise against a zero bound, and a
+    phased step is exp(-iHT) only up to the gauge transform."""
+    proc = run_cli(command, "--config", write_config(tmp_path, **fields))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error:") and message in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_optical_exit_code():
     proc = run_cli("optical")
     assert proc.returncode == 0

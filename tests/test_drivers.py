@@ -335,7 +335,7 @@ def test_drivers_build_no_dense_hamiltonian(monkeypatch, tmp_path):
         raise RuntimeError("a driver built a dense physical Hamiltonian")
 
     for module in (algebra, drivers, oracle):
-        for name in ("term_matrix", "total_hamiltonian"):
+        for name in ("edges_to_dense", "total_hamiltonian"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, dense)
     monkeypatch.setattr(drivers, "SCAN_STEPS", (4,))

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 import zngauge.oracle as oracle
-from conftest import physical_singlet, taylor_expm
+from conftest import dense_term, physical_singlet, taylor_expm
 from zngauge.algebra import (TERM_NAMES, Couplings, as_edges, expm_from_hermitian,
-                             hamiltonian_edges, term_matrix, total_hamiltonian)
+                             hamiltonian_edges, total_hamiltonian)
 from zngauge.oracle import (
     ExactEvolver,
     bound_validity,
@@ -107,7 +107,7 @@ def test_evolver_matches_dense_eigh_on_the_2x2_hamiltonian(layout22):
 
 def test_norm_sum_and_term_exponential_match_dense_forms(layout22):
     cpl = Couplings(0.7, 1.3, 0.9, 1.1)
-    terms = {name: term_matrix(layout22, name, cpl) for name in TERM_NAMES}
+    terms = {name: dense_term(layout22, name, cpl) for name in TERM_NAMES}
     dense = sum(float(np.abs(np.linalg.eigvalsh(m)).max()) for m in terms.values())
     assert abs(exact_norm_sum(layout22, cpl) - dense) < 1e-12
     h = terms["GM_eh"] + terms["Be"]

@@ -1,5 +1,7 @@
 """Step compiler, executor, substep windows, and the phase gauging story."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_global_singlet, dense_run, dense_weights, embed_physical, lift,
-                      physical_amplitudes, physical_singlet)
+from conftest import (build_global_singlet, dense_run, dense_term, dense_weights, embed_physical,
+                      lift, physical_amplitudes, physical_singlet)
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
     expm_from_hermitian,
     gauss_law_operator,
     random_gauge_invariant_physical,
-    term_matrix,
 )
 import zngauge.lattice as lattice_module
 import zngauge.schedule as schedule_module
@@ -60,7 +61,7 @@ def sched_dir1(layout22, cpl1):
 @pytest.fixture(scope="module")
 def term_unitaries(layout22, cpl1):
     def at(h, names=TERM_NAMES):
-        return {n: expm_from_hermitian(term_matrix(layout22, n, cpl1), -1j * h) for n in names}
+        return {n: expm_from_hermitian(dense_term(layout22, n, cpl1), -1j * h) for n in names}
 
     return at
 
@@ -304,6 +305,32 @@ def test_compile_is_deterministic(layout22, cpl1, sched_cho1):
     again = compile_step(layout22, cpl1, TAU, "choreography", 1)
     assert list(again.ops) == list(sched_cho1.ops)
     assert again.substeps == sched_cho1.substeps
+
+
+# sha256 over dump_schedule and repr(substeps) of every config that compiles in
+# the grid below, as emitted at commit 168fb684476c325ec96ed7d1f71534dc64e4a695
+GOLDEN_SCHEDULES = (232, "441a671ba1f232022365bcb6bb20a67e35198128031349085c64a27637f0a527")
+
+
+def test_emitted_schedules_match_the_golden_digest():
+    """Op order, stages, parameters and substep ranges over Lx, Ly in 1..5, both
+    ancilla policies, both modes, orders 1 and 2, and theta/theta' at zero and
+    nonzero; the shared policy at 3x2, 4x2 and 5x2 places overflow blocks."""
+    digest = hashlib.sha256()
+    compiled = 0
+    for lx, ly, policy, mode, order, (theta, theta_prime) in itertools.product(
+            range(1, 6), range(1, 6), ("per_plaquette", "shared"), ("choreography", "direct"),
+            (1, 2), ((0.0, 0.0), (0.3, 0.7))):
+        try:
+            layout = build_layout(LatticeGeometry(lx, ly), 3, policy)
+            sched = compile_step(layout, Couplings(), TAU, mode, order,
+                                 theta=theta, theta_prime=theta_prime)
+        except ValueError:
+            continue
+        compiled += 1
+        digest.update(dump_schedule(sched).encode())
+        digest.update(repr(sched.substeps).encode())
+    assert (compiled, digest.hexdigest()) == GOLDEN_SCHEDULES
 
 
 def test_sector_slicing_matches_manual(sched_dir1, layout22):
