@@ -232,6 +232,9 @@ def run_verification_suite(config: SimulationConfig,
     checks: list[CheckResult] = []
     rng = np.random.default_rng(config.seed)
     cpl = config.couplings()
+    # first, so that trotter_errors rejects T <= 0 before the dense checks
+    trotter = {order: trotter_errors(lay, cpl, config.T, SCAN_STEPS, order, "direct")
+               for order in (1, 2)}
 
     # clock algebra closure over small N, plus the configured one
     worst = 0.0
@@ -310,8 +313,7 @@ def run_verification_suite(config: SimulationConfig,
     # trotter slopes and bound dominance (uses config's couplings)
     slope_rows = []
     dominance = True
-    for order in (1, 2):
-        errors = trotter_errors(lay, cpl, config.T, SCAN_STEPS, order, "direct")
+    for order, errors in trotter.items():
         dominance = dominance and all(dist <= bnd for dist, bnd, _ in errors)
         errs = [dist for dist, _, _ in errors]
         slope = float(np.polyfit(np.log(SCAN_STEPS), np.log(errs), 1)[0])
@@ -340,14 +342,14 @@ def run_verification_suite(config: SimulationConfig,
 
 
 def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, order: int,
-                   mode: str, *, theta: float = 0.0, theta_prime: float = 0.0) -> list[tuple]:
+                   mode: str) -> list[tuple]:
     """(distance, bound, gate_count) of M compiled Trotter steps over T, per M in steps.
 
-    distance is the exact spectral norm of the step map's M-th power minus
-    exp(-iHT), taken one block of H at a time; bound is the paper's
-    product-formula bound for an LxL lattice (ValueError on any other
-    shape, and on T <= 0, where every distance is rounding noise against
-    a zero bound), gate_count that of one step.
+    distance is the exact spectral norm of the unphased step map's M-th
+    power minus exp(-iHT), taken one block of H at a time; bound is the
+    paper's product-formula bound for an LxL lattice (ValueError on any
+    other shape, and on T <= 0, where every distance is rounding noise
+    against a zero bound), gate_count that of one step.
     """
     L, Ly = layout.geometry.Lx, layout.geometry.Ly
     if L != Ly:
@@ -358,8 +360,7 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
     lam_max = max(cpl.lambda_e, cpl.lambda_b, cpl.lambda_gm, cpl.mass)
     out = []
     for m in steps:
-        sched = compile_step(layout, cpl, T / m, mode, order,
-                             theta=theta, theta_prime=theta_prime)
+        sched = compile_step(layout, cpl, T / m, mode, order)
         out.append((evolver.trotter_distance(schedule_physical_map(sched), m, T),
                     trotter_bound(order, L, lam_max, T, m), sched.gate_count()))
     return out

@@ -180,7 +180,10 @@ def _add_mass_electric(stage_ops: dict[int, list[GateOp]], layout: RegisterLayou
 
 def _flatten(stage_ops: dict[int, list[GateOp]]) -> list[GateOp]:
     """Stages in order, an idle marker for each empty one."""
-    return [op for s in sorted(stage_ops) for op in stage_ops[s] or [GateOp("idle", (), (), s)]]
+    ops: list[GateOp] = []
+    for s in sorted(stage_ops):
+        ops.extend(stage_ops[s] or [GateOp("idle", (), (), s)])
+    return ops
 
 
 def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
@@ -595,4 +598,3 @@ def dump_schedule(schedule: Schedule) -> str:
         params = ",".join("%.17g" % p for p in op.params)
         lines.append(f"{op.stage}\t{op.name}\t{targets}\t{params}")
     return "\n".join(lines) + "\n"
-

@@ -321,6 +321,15 @@ def test_dense_drivers_reject_another_lattice(run, field):
         run(SimulationConfig(**field))
 
 
+def test_verify_rejects_zero_time_before_its_dense_work(monkeypatch):
+    def dense_work(*args, **kwargs):
+        raise RuntimeError("verify began its dense checks before rejecting T = 0")
+
+    monkeypatch.setattr(drivers, "make_link_algebra", dense_work)
+    with pytest.raises(ValueError, match="T > 0"):
+        run_verification_suite(SimulationConfig(T=0))
+
+
 def test_trotter_bound_takes_the_lattice_side(layout22):
     cpl = Couplings(0.7, 1.3, 0.9, 1.1)
     rows = trotter_errors(layout22, cpl, 1.0, (4, 8), 1, "direct")
