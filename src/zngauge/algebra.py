@@ -64,29 +64,6 @@ class LinkAlgebra:
     dft: np.ndarray
     log_p: np.ndarray
     log_q: np.ndarray
-    # spin-1 data, populated for N=3 only (None otherwise)
-    f_z: np.ndarray | None = None
-    f_x: np.ndarray | None = None
-    f_y: np.ndarray | None = None
-
-
-# internal label m -> row of the spin-1 basis ordered (+1, 0, -1)
-_SPIN1_PERMUTATION = (1, 0, 2)
-
-
-def _spin1_matrices() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spin-1 (F_x, F_y, F_z) in the internal label order (0, +1, -1)."""
-    fz_std = np.diag([1.0, 0.0, -1.0]).astype(np.complex128)
-    fplus = np.sqrt(2.0) * np.array(
-        [[0, 1, 0], [0, 0, 1], [0, 0, 0]], dtype=np.complex128
-    )
-    fx_std = (fplus + fplus.conj().T) / 2
-    fy_std = (fplus - fplus.conj().T) / (2j)
-    perm = np.array(_SPIN1_PERMUTATION)
-    out = []
-    for m in (fx_std, fy_std, fz_std):
-        out.append(m[np.ix_(perm, perm)])
-    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -105,14 +82,9 @@ def make_link_algebra(N: int) -> LinkAlgebra:
     dft = omega ** np.outer(m, m) / np.sqrt(N)
     log_p = 1j * (2 * np.pi / N) * np.diag(symmetric_representatives(N)).astype(np.complex128)
     log_q = dft.conj().T @ log_p @ dft
-
-    f_z = f_x = f_y = None
-    if N == 3:
-        f_x, f_y, f_z = _spin1_matrices()
-    for a in (p, q, dft, log_p, log_q, f_z, f_x, f_y):
-        if a is not None:
-            a.setflags(write=False)
-    return LinkAlgebra(N, p, q, dft, log_p, log_q, f_z, f_x, f_y)
+    for a in (p, q, dft, log_p, log_q):
+        a.setflags(write=False)
+    return LinkAlgebra(N, p, q, dft, log_p, log_q)
 
 
 def as_edges(h) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

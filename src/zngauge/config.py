@@ -12,27 +12,23 @@ from .schedule import compile_step
 
 
 @dataclass(frozen=True)
-class SimulationConfig:
-    """Every knob of a run; unknown keys in a config file are errors."""
+class SimulationConfig(Couplings):
+    """Every knob of a run, couplings included; unknown keys in a config file are errors."""
 
     Lx: int = 2
     Ly: int = 2
     N: int = 3
-    lambda_e: float = 1.0
-    lambda_b: float = 1.0
-    lambda_gm: float = 1.0
-    mass: float = 1.0
     T: float = 1.0
     n_steps: int = 10
     order: int = 1
     mode: str = "choreography"
     ancilla_policy: str = "per_plaquette"
-    h_e_variant: str = "group"
     theta: float = 0.0
     theta_prime: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.n_steps < 1:
             raise ValueError(f"n_steps must be >= 1, got {self.n_steps}")
         for name in ("T", "theta", "theta_prime"):
@@ -43,12 +39,16 @@ class SimulationConfig:
             raise ValueError(f"T must be nonnegative, got {self.T}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        # the geometry, couplings and compiler check everything else, so a
-        # config that cannot run fails here rather than inside a driver
+        if self.mode == "direct" and (self.theta or self.theta_prime):   # no phases to gauge
+            raise ValueError(f"theta and theta_prime need choreography mode, got theta = "
+                             f"{self.theta}, theta_prime = {self.theta_prime} in direct mode")
+        # the geometry and compiler check everything else, so a config
+        # that cannot run fails here rather than inside a driver
         compile_step(self.build_geometry(), self.couplings(), self.T / self.n_steps,
                      self.mode, self.order, theta=self.theta, theta_prime=self.theta_prime)
 
     def couplings(self) -> Couplings:
+        """The coupling fields as a plain Couplings."""
         return Couplings(self.lambda_e, self.lambda_b, self.lambda_gm,
                          self.mass, self.h_e_variant)
 

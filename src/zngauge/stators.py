@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -104,7 +105,7 @@ _GATES = {
         lambda d: len(d) == 1, 0, "unitary", lambda d: make_link_algebra(d[0]).dft.copy())),
     "flip_anc": (lambda d: len(d) == 1, 0, "unitary", lambda d: flip_matrix(d[0])),
     "collision_zz": (lambda d: d == (3, 3), 1, "generator",   # spin-1 pair, F_z F~_z
-                     lambda d: np.kron(make_link_algebra(3).f_z, make_link_algebra(3).f_z)),
+                     lambda d: np.kron(spin1()[2], spin1()[2])),
     "q_entangler": (lambda d: len(d) == 2 and d[0] == d[1], 0, "unitary", _q_entangler),
     # (fermion, ancilla); i log P is Hermitian since log P is anti-Hermitian
     "fermion_anc_phase": (lambda d: len(d) == 2 and d[0] == 2, 0, "generator",
@@ -196,11 +197,23 @@ def z3_collision_entangler() -> np.ndarray:
 # collision algebra (spin-1 pair)
 
 
+@lru_cache(maxsize=None)
+def spin1() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Spin-1 (F_x, F_y, F_z) in the internal label order (0, +1, -1), each
+    read-only: label m is row (1, 0, 2)[m] of the m_F = (+1, 0, -1) basis."""
+    fplus = np.sqrt(2.0) * np.eye(3, k=1, dtype=np.complex128)
+    perm = np.ix_((1, 0, 2), (1, 0, 2))
+    out = tuple(f[perm] for f in ((fplus + fplus.T) / 2, (fplus - fplus.T) / (2j),
+                                  np.diag([1.0, 0.0, -1.0]).astype(np.complex128)))
+    for f in out:
+        f.setflags(write=False)
+    return out
+
+
 def spin1_dot_product() -> np.ndarray:
     """F . F~ = sum_a F_a (x) F_a on the 9-dim pair space."""
-    alg = make_link_algebra(3)
     out = np.zeros((9, 9), dtype=np.complex128)
-    for f in (alg.f_x, alg.f_y, alg.f_z):
+    for f in spin1():
         out += np.kron(f, f)
     return out
 
@@ -231,9 +244,9 @@ def collision_unitary(g0: float, g1: float, g2: float, alpha: float) -> np.ndarr
 
 def selective_collision(eta0: float, eta1: float, eta2: float, alpha: float) -> np.ndarray:
     """exp(-i alpha (eta0 + eta1 F_z F~_z + eta2 N0 N~0)), the diagonal target form."""
-    alg = make_link_algebra(3)
-    n0 = np.eye(3) - alg.f_z @ alg.f_z
-    gen = eta0 * np.eye(9) + eta1 * np.kron(alg.f_z, alg.f_z) + eta2 * np.kron(n0, n0)
+    f_z = spin1()[2]
+    n0 = np.eye(3) - f_z @ f_z
+    gen = eta0 * np.eye(9) + eta1 * np.kron(f_z, f_z) + eta2 * np.kron(n0, n0)
     return expm_from_hermitian(gen, -1j * alpha)
 
 
@@ -277,8 +290,7 @@ def collision_calibration(g0: float, g1: float, g2: float) -> tuple[float, float
 
 def n0_pair_phase(beta: float) -> np.ndarray:
     """exp(-i beta N0 N~0) on the spin-1 pair."""
-    alg = make_link_algebra(3)
-    n0 = np.eye(3) - alg.f_z @ alg.f_z
+    n0 = np.eye(3) - spin1()[2] @ spin1()[2]
     return expm_from_hermitian(np.kron(n0, n0), -1j * beta)
 
 

@@ -64,15 +64,6 @@ def test_three_level_closed_form_logarithm(alg3):
     assert np.abs(alg3.log_p - closed).max() < 1e-14
 
 
-def test_spin_one_matrices(alg3):
-    fx, fy, fz = alg3.f_x, alg3.f_y, alg3.f_z
-    # internal label order is (0, +1, -1)
-    np.testing.assert_allclose(fz, np.diag([0.0, 1.0, -1.0]), atol=1e-15)
-    assert np.abs(fx @ fy - fy @ fx - 1j * fz).max() < 1e-13
-    casimir = fx @ fx + fy @ fy + fz @ fz
-    np.testing.assert_allclose(casimir, 2.0 * np.eye(3), atol=1e-13)
-
-
 def test_make_link_algebra_rejects_small_n():
     with pytest.raises(ValueError):
         make_link_algebra(1)
@@ -485,7 +476,7 @@ def test_gauss_expectations_reject_a_non_diagonal_factor(layout22, monkeypatch):
 def test_link_algebra_is_cached_and_read_only():
     alg = make_link_algebra(3)
     assert make_link_algebra(3) is alg
-    for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q, alg.f_z):
+    for a in (alg.p, alg.q, alg.dft, alg.log_p, alg.log_q):
         with pytest.raises(ValueError):
             a[0, 0] = 0.0
 

@@ -115,6 +115,16 @@ def test_bad_config_exits_2(tmp_path):
     assert missing.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["quench", "compile"])
+def test_direct_mode_angles_exit_2(tmp_path, command):
+    """Direct mode has no spurious phases; nonzero angles would go unread."""
+    cfg = write_config(tmp_path, mode="direct", theta=0.3, theta_prime=0.7)
+    proc = run_cli(command, "--config", cfg)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error:") and "theta" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_unrunnable_geometry_exits_2(tmp_path):
     cfg = write_config(tmp_path, Lx=1, Ly=3)
     proc = run_cli("quench", "--config", cfg)

@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+import zngauge
+from zngauge.algebra import Couplings
 from zngauge.config import SimulationConfig, config_from_dict, load_config
 
 
@@ -21,6 +23,25 @@ def test_defaults():
     lay = cfg.build_geometry()
     assert len(lay.geometry.links) == 4
     assert lay.total_dim == 3888
+
+
+def test_config_keys_and_couplings():
+    """The coupling fields live on Couplings; the config file's keys stay these 16."""
+    assert set(SimulationConfig().as_dict()) == {
+        "Lx", "Ly", "N", "lambda_e", "lambda_b", "lambda_gm", "mass", "T", "n_steps",
+        "order", "mode", "ancilla_policy", "h_e_variant", "theta", "theta_prime", "seed"}
+    cpl = SimulationConfig().couplings()
+    assert type(cpl) is Couplings and cpl == Couplings()
+    cfg = config_from_dict({"lambda_b": 0.5, "mass": 2, "h_e_variant": "z3-implementation"})
+    assert cfg.couplings() == Couplings(lambda_b=0.5, mass=2.0, h_e_variant="z3-implementation")
+
+
+def test_package_root_names():
+    """perfbench reads SimulationConfig and these modules off the package root."""
+    for name in ("SimulationConfig", "drivers", "oracle", "schedule", "lattice", "algebra",
+                 "config"):
+        assert hasattr(zngauge, name), name
+    assert zngauge.SimulationConfig is SimulationConfig
 
 
 def test_dict_round_trip(tmp_path):
@@ -67,6 +88,10 @@ def test_value_validation():
         SimulationConfig(h_e_variant="u1")
     with pytest.raises(ValueError):
         SimulationConfig(lambda_e=float("inf"))
+    # direct mode has no spurious phases, so it reads no angles
+    for angles in ({"theta": 0.3}, {"theta_prime": 0.7}):
+        with pytest.raises(ValueError, match="choreography mode"):
+            SimulationConfig(mode="direct", **angles)
     # the collision-based choreography only exists for three-level links
     with pytest.raises(ValueError):
         SimulationConfig(N=4, mode="choreography")

@@ -22,6 +22,7 @@ from zngauge.stators import (
     rwa_project,
     scattering_lengths_to_couplings,
     selective_collision,
+    spin1,
     spin1_dot_product,
     stator_entangler,
     z3_collision_entangler,
@@ -210,6 +211,22 @@ def test_control_field_rotation_against_taylor(alg3):
 
 # ---------------------------------------------------------------------------
 # collision algebra
+
+
+def test_spin_one_matrices():
+    fx, fy, fz = spin1()
+    # internal label order is (0, +1, -1)
+    np.testing.assert_allclose(fz, np.diag([0.0, 1.0, -1.0]), atol=1e-15)
+    assert np.abs(fx @ fy - fy @ fx - 1j * fz).max() < 1e-13
+    casimir = fx @ fx + fy @ fy + fz @ fz
+    np.testing.assert_allclose(casimir, 2.0 * np.eye(3), atol=1e-13)
+
+
+def test_spin_one_matrices_are_cached_and_read_only():
+    assert spin1() is spin1()
+    for f in spin1():
+        with pytest.raises(ValueError):
+            f[0, 0] = 0.0
 
 
 def test_spin1_dot_product_spectrum():
