@@ -1,16 +1,18 @@
 """Build the single-plaquette drive and compare it to the closed form.
 
 The four links of one plaquette are entangled with a shared ancilla,
-the ancilla is driven, and the entangling sequence is undone.  On the
-uniform ancilla input the resulting map on the links is exactly the
-magnetic-plaquette propagator.
+the ancilla is driven, and the entangling sequence is undone.  The
+entanglers are those the direct compiler emits in the 2x2 step's
+plaquette window.  On the uniform ancilla input the resulting map on
+the links is exactly the magnetic-plaquette propagator.
 """
 
 import numpy as np
 
-from zngauge.algebra import expm_from_hermitian, make_link_algebra
+from zngauge.algebra import Couplings, expm_from_hermitian, make_link_algebra
 from zngauge.lattice import LatticeGeometry, build_layout
-from zngauge.stators import gate_matrix, plaquette_stator_sequence
+from zngauge.schedule import compile_step
+from zngauge.stators import gate_matrix
 
 IN_VEC = np.ones(3) / np.sqrt(3)
 
@@ -31,12 +33,18 @@ def main():
     dims = [3] * 5                       # four plaquette links + ancilla
     pos = {reg: reg - 4 for reg in (4, 5, 6, 7)}
 
+    # the window holds the four entanglers, the drive, and their inverses
+    sched = compile_step(layout, Couplings(), 0.1, "direct", 1)
+    _, lo, hi = next(w for w in sched.substeps if w[0] == "plaq_even")
+    window = sched.ops[lo:hi]
+    print("plaquette window:", " ".join(f"{op.name}{op.targets}" for op in window))
+
     fwd = np.eye(3 ** 5, dtype=complex)
-    for op in plaquette_stator_sequence(layout, (0, 0)):
+    for op in window[:4]:
         g = gate_matrix(op.name, op.params, (3, 3))
         fwd = embed(g, [pos[op.targets[0]], 4], dims) @ fwd
     inv = np.eye(3 ** 5, dtype=complex)
-    for op in plaquette_stator_sequence(layout, (0, 0), "inverse"):
+    for op in window[5:]:
         g = gate_matrix(op.name, op.params, (3, 3))
         inv = embed(g, [pos[op.targets[0]], 4], dims) @ inv
 

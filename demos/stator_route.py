@@ -14,7 +14,7 @@ from zngauge.stators import ancilla_fourier, stator_entangler
 alg = make_link_algebra(3)
 in_vec = np.ones(3) / np.sqrt(3)
 
-u_i = stator_entangler(alg, "forward")
+u_i = stator_entangler(alg)
 s_q = u_i @ np.kron(np.eye(3), in_vec[:, None])
 lhs = np.kron(np.eye(3), alg.q) @ s_q
 print(f"Q eigenoperator residual: {np.abs(lhs - s_q @ alg.q.conj().T).max():.2e}")

@@ -63,7 +63,6 @@ class LinkAlgebra:
     q: np.ndarray
     dft: np.ndarray
     log_p: np.ndarray
-    log_q: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -81,10 +80,9 @@ def make_link_algebra(N: int) -> LinkAlgebra:
     q[(m + 1) % N, m] = 1.0
     dft = omega ** np.outer(m, m) / np.sqrt(N)
     log_p = 1j * (2 * np.pi / N) * np.diag(symmetric_representatives(N)).astype(np.complex128)
-    log_q = dft.conj().T @ log_p @ dft
-    for a in (p, q, dft, log_p, log_q):
+    for a in (p, q, dft, log_p):
         a.setflags(write=False)
-    return LinkAlgebra(N, p, q, dft, log_p, log_q)
+    return LinkAlgebra(N, p, q, dft, log_p)
 
 
 def as_edges(h) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:

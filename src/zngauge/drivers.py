@@ -239,8 +239,7 @@ def run_verification_suite(config: SimulationConfig,
     trotter = {order: trotter_errors(lay, cpl, config.T, SCAN_STEPS, order, "direct")
                for order in (1, 2)}
 
-    # clock algebra closure over small N, plus the configured one (log_q is
-    # dft! log_p dft by construction, so only P and Q are checked)
+    # clock algebra closure over small N, plus the configured one
     worst = 0.0
     for n in sorted({2, 3, 4, 5, config.N}):
         alg = make_link_algebra(n)
@@ -250,7 +249,7 @@ def run_verification_suite(config: SimulationConfig,
 
     # stator eigenoperator relation at the configured N
     alg = make_link_algebra(config.N)
-    u_i = stator_entangler(alg, "forward")
+    u_i = stator_entangler(alg)
     intro = np.ones(config.N) / np.sqrt(config.N)
     s_q = u_i @ np.kron(np.eye(config.N), intro[:, None])
     lhs = np.kron(np.eye(config.N), alg.q) @ s_q

@@ -15,7 +15,7 @@ explicit idle markers so every label from 1 to 35 appears.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -35,8 +35,7 @@ from .lattice import (
     run_support,
 )
 from .algebra import Couplings, monomial_map
-from .stators import (COLLISION_ANGLE, FRAME_STEPS, GateOp, framed_op, gate_matrix,
-                      plaquette_stator_sequence)
+from .stators import COLLISION_ANGLE, FRAME_STEPS, GateOp, framed_op, gate_matrix
 
 GRADIENT_TOL = 1e-12
 
@@ -140,7 +139,7 @@ def _gm_block(stage_ops: dict[int, list[GateOp]], layout: RegisterLayout, link: 
 # plaquette sandwich rows per parity (is_even): (stage, boundary link 1-4 in
 # plaquette_links order or 0 for anc_drive, adjoint).  The even sandwich
 # (11-17) assembles around the U1 its horizontal block kept; the odd one
-# (28-34) starts with U1
+# (28-34) starts with U1, and direct mode emits it for every plaquette
 PLAQUETTE_ROWS = {
     True: ((11, 2, False), (12, 3, True), (13, 4, True), (14, 0, False),
            (15, 1, True), (16, 3, False), (17, 4, False)),
@@ -268,13 +267,13 @@ def _choreography_ops(layout: RegisterLayout, cpl: Couplings, h: float,
 def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
                 electric_time: float | None) -> list[GateOp]:
     geom = layout.geometry
-    stage_ops: dict[int, list[GateOp]] = {s: [] for s in range(1, 9)}
+    stage = {label: lo for label, lo, _ in DIRECT_SUBSTEPS}
+    stage_ops: dict[int, list[GateOp]] = {s: [] for s in stage.values()}
     gm_coeff = h * cpl.lambda_gm
     b_coeff = h * cpl.lambda_b
 
-    class_stage = {"ev": 1, "eh": 2, "ov": 4, "oh": 5}
     for l in geom.links:
-        s = class_stage[geom.link_class(l)]
+        s = stage["gm_" + geom.link_class(l)]
         f_o = layout.fermion_index(l[0])
         f_h = layout.fermion_index(geom.link_head(l))
         lr = layout.link_index(l)
@@ -284,14 +283,19 @@ def _direct_ops(layout: RegisterLayout, cpl: Couplings, h: float,
             GateOp("uw", (lr, f_o), (), s),
         ]
 
+    # every plaquette runs the self-contained odd sandwich in its parity's
+    # one stage, each entangler row as one q_entangler
     for p in geom.plaquettes:
-        s = 3 if is_even(p) else 6
-        stage_ops[s] += [replace(op, stage=s) for op in plaquette_stator_sequence(layout, p)]
-        stage_ops[s].append(GateOp("anc_drive", (layout.ancilla_of_plaquette[p],), (b_coeff,), s))
-        stage_ops[s] += [replace(op, stage=s)
-                         for op in plaquette_stator_sequence(layout, p, "inverse")]
+        s = stage["plaq_even" if is_even(p) else "plaq_odd"]
+        anc = layout.ancilla_of_plaquette[p]
+        links = [l for l, _ in geom.plaquette_links(p)]
+        for _, k, adjoint in PLAQUETTE_ROWS[False]:
+            op = (GateOp("q_entangler", (layout.link_index(links[k - 1]), anc), (), s) if k
+                  else GateOp("anc_drive", (anc,), (b_coeff,), s))
+            stage_ops[s].append(op.dagger() if adjoint else op)
 
-    _add_mass_electric(stage_ops, layout, cpl, h, electric_time, 7, 8)
+    _add_mass_electric(stage_ops, layout, cpl, h, electric_time, stage["mass"],
+                       stage["electric"])
     return _flatten(stage_ops)
 
 

@@ -7,12 +7,13 @@ state |in> = N^(-1/2) sum_m |m~>.  The Q-type entangler
 
 satisfies the eigenoperator relation (1 (x) Q~) U_i (1 (x) |in>) =
 U_i (1 (x) |in>) Q!, which is what lets a drive on the ancilla act as a
-group operator on the link after disentangling.
+group operator on the link after disentangling.  With a fermion mode
+as its two-level control, the same controlled shift is the gate uw.
 
-This module also owns the serializable gate vocabulary (GateOp plus
-gate_matrix) that the sequence compiler emits and the executor consumes,
-and the Fourier-frame rules (framed_op) by which plan building runs ops
-between a dft and its adjoint without the basis changes.
+This module holds the gate vocabulary (GateOp plus gate_matrix) that
+both compilers emit, the Fourier-frame rules (framed_op) by which plan
+building runs ops between a dft and its adjoint, and the spin-1
+collision algebra; the schedules are emitted in `schedule`.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .lattice import RegisterLayout, Vertex
 from .algebra import (
     LinkAlgebra,
     NUMBER_OP,
@@ -41,11 +41,7 @@ ETA1_TOL = 1e-12
 
 @dataclass(frozen=True)
 class GateOp:
-    """One scheduled gate: stage label, vocabulary name, register targets.
-
-    stage -1 marks an op that has not been placed in a stage yet
-    (plaquette_stator_sequence returns such lists).
-    """
+    """One scheduled gate: stage label, vocabulary name, register targets."""
 
     name: str
     targets: tuple[int, ...]
@@ -74,12 +70,14 @@ def _tunnel_coupling(d: tuple[int, ...]) -> np.ndarray:
 
 
 def _q_entangler(d: tuple[int, ...]) -> np.ndarray:
-    """sum_m Q^m (x) |m~><m~| on (link, ancilla)."""
-    N = d[0]
-    u = np.zeros((N, N, N, N), dtype=np.complex128)
-    for m in range(N):
+    """sum_m Q^m (x) |m><m| over the K levels of the second register, from
+    powers of the shift, so its zeros are exact: q_entangler on (link,
+    ancilla) with K = N, uw on (link, fermion) with K = 2."""
+    N, K = d
+    u = np.zeros((N, K, N, K), dtype=np.complex128)
+    for m in range(K):
         u[:, m, :, m] = np.linalg.matrix_power(make_link_algebra(N).q, m)
-    return u.reshape(N * N, N * N)
+    return u.reshape(N * K, N * K)
 
 
 def _fermion_shift(d: tuple[int, ...]) -> np.ndarray:
@@ -114,8 +112,7 @@ _GATES = {
     **dict.fromkeys(("occupation_phase", "mass_phase"), (
         lambda d: d == (2,), 1, "generator", lambda d: NUMBER_OP)),
     "tunnel": (lambda d: len(d) >= 2 and set(d) == {2}, 1, "generator", _tunnel_coupling),
-    "uw": (lambda d: len(d) == 2 and d[1] == 2, 0, "generator",   # (link, fermion)
-           lambda d: np.kron(1j * make_link_algebra(d[0]).log_q, NUMBER_OP)),
+    "uw": (lambda d: len(d) == 2 and d[1] == 2, 0, "unitary", _q_entangler),   # (link, fermion)
     "anc_drive": (lambda d: len(d) == 1, 1, "generator", _clock_sum),
     "electric_group": (lambda d: len(d) == 1, 1, "generator", _electric("group")),
     "electric_z3": (lambda d: len(d) == 1, 1, "generator", _electric("z3-implementation")),
@@ -175,12 +172,9 @@ def gate_matrix(name: str, params: tuple[float, ...], target_dims: tuple[int, ..
 # entanglers
 
 
-def stator_entangler(algebra: LinkAlgebra, direction: str = "forward") -> np.ndarray:
-    """U_i on (link, ancilla), or its adjoint for direction="inverse"."""
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    u = gate_matrix("q_entangler", (), (algebra.N, algebra.N))
-    return u if direction == "forward" else u.conj().T
+def stator_entangler(algebra: LinkAlgebra) -> np.ndarray:
+    """U_i on (link, ancilla)."""
+    return gate_matrix("q_entangler", (), (algebra.N, algebra.N))
 
 
 def z3_collision_entangler() -> np.ndarray:
@@ -302,30 +296,3 @@ def ancilla_fourier(N: int = 3) -> np.ndarray:
     """V~_D, converting Q-type stators to P-type (S_P = V~_D S_Q)."""
     return gate_matrix("dft_anc", (), (N,))
 
-
-# ---------------------------------------------------------------------------
-# plaquette stators
-
-
-def plaquette_stator_sequence(layout: RegisterLayout, plaquette: Vertex,
-                              direction: str = "forward") -> list[GateOp]:
-    """Entangler list creating (or undoing) the plaquette stator.
-
-    Forward emits q_entangler on the two positively oriented links and
-    its adjoint on the two negative ones, all against the plaquette's
-    ancilla; inverse emits the adjoints in reverse order.  The four
-    commute, so either order composes to the same unitary.
-    """
-    if direction not in ("forward", "inverse"):
-        raise ValueError(f"direction must be forward|inverse, got {direction!r}")
-    anc = layout.ancilla_of_plaquette.get(plaquette)
-    if anc is None:
-        raise KeyError(f"plaquette {plaquette} has no assigned ancilla under "
-                       f"policy {layout.ancilla_policy!r}")
-    ops = []
-    for link, orient in layout.geometry.plaquette_links(plaquette):
-        name = "q_entangler" if orient > 0 else "q_entangler_dag"
-        ops.append(GateOp(name, (layout.link_index(link), anc)))
-    if direction == "inverse":
-        ops = [op.dagger() for op in reversed(ops)]
-    return ops

@@ -43,7 +43,6 @@ from zngauge.stators import (
     eta_couplings,
     gate_matrix,
     n0_pair_phase,
-    plaquette_stator_sequence,
     scattering_lengths_to_couplings,
     selective_collision,
     stator_entangler,
@@ -127,7 +126,7 @@ def test_criterion_1_algebra():
             np.abs(alg.p @ alg.q @ alg.p.conj().T - omega * alg.q).max(),
             np.abs(alg.dft.conj().T @ alg.p @ alg.dft - alg.q).max(),
             np.abs(taylor_expm(alg.log_p) - alg.p).max(),
-            np.abs(taylor_expm(alg.log_q) - alg.q).max(),
+            np.abs(taylor_expm(alg.dft.conj().T @ alg.log_p @ alg.dft) - alg.q).max(),
         )
     alg3 = make_link_algebra(3)
     closed = (2 * np.pi / (3 * np.sqrt(3))) * (alg3.p - alg3.p.conj().T)
@@ -146,7 +145,7 @@ def test_criterion_1_algebra():
 # criterion 2: stator relations and the single-plaquette sandwich
 
 
-def test_criterion_2_stators(layout22):
+def test_criterion_2_stators(layout22, cpl1):
     t0 = time.perf_counter()
     budget = 5.0
     alg = make_link_algebra(3)
@@ -155,15 +154,20 @@ def test_criterion_2_stators(layout22):
     s_p = np.kron(np.eye(3), ancilla_fourier()) @ s_q
     r_p = np.abs(np.kron(np.eye(3), alg.p) @ s_p - s_p @ alg.q.conj().T).max()
 
-    # single plaquette with its ancilla: registers (l1, l4, l3, l2, anc)
+    # single plaquette with its ancilla: registers (l1, l4, l3, l2, anc); the
+    # entanglers are those of the compiled direct step's plaquette window
+    sched = compile_step(layout22, cpl1, 0.1, "direct", 1)
+    _, lo, hi = next(w for w in sched.substeps if w[0] == "plaq_even")
+    window = sched.ops[lo:hi]
+    assert [op.name for op in window].index("anc_drive") == 4
     dims = [3] * 5
     pos = {reg: reg - 4 for reg in (4, 5, 6, 7)}
     fwd = np.eye(3 ** 5, dtype=complex)
-    for op in plaquette_stator_sequence(layout22, (0, 0)):
+    for op in window[:4]:
         g = gate_matrix(op.name, op.params, (3, 3))
         fwd = embed_on(g, [pos[op.targets[0]], 4], dims) @ fwd
     inv = np.eye(3 ** 5, dtype=complex)
-    for op in plaquette_stator_sequence(layout22, (0, 0), "inverse"):
+    for op in window[5:]:
         g = gate_matrix(op.name, op.params, (3, 3))
         inv = embed_on(g, [pos[op.targets[0]], 4], dims) @ inv
 

@@ -204,6 +204,13 @@ def test_sector_quench_matches_the_full_space_loop(fields):
     assert 0.0 <= truncated[0] and truncated == sorted(truncated) and truncated[-1] <= 1e-12
 
 
+def test_direct_quench_drops_no_rounding_residue():
+    """uw is the exact controlled shift, so the 2x2 default direct quench
+    leaves the support kernel almost no rounding residue to drop."""
+    rows = run_quench(SimulationConfig(mode="direct"))
+    assert rows[-1]["truncated_norm"] <= 1e-15
+
+
 def test_quench_raises_once_the_dropped_norm_passes_its_budget(monkeypatch):
     """The support kernel's dropped norm is summed over the steps, and a sum
     over NORM_TOL stops the quench instead of reporting a truncated state."""

@@ -554,16 +554,17 @@ def test_a_non_unitary_block_raises(layout22):
         block_group(dims, (f,), (link,), blocks[:, :2, :2])
 
 
-@pytest.mark.parametrize("geo, max_groups, min_monomial, max_gathered",
-                         [((2, 2), 8, 2, 171), ((3, 2), 20, 11, 210)])
-def test_controlled_fusion_census(cpl1, geo, max_groups, min_monomial, max_gathered):
-    """The choreography step's plan: its group count, its monomial groups with
-    A > 1, which the support kernel runs as index maps instead of gathering
-    them, and the multiply-adds per gathered amplitude (the sum of A over the
+@pytest.mark.parametrize("mode, geo, max_groups, min_monomial, max_gathered", [
+    ("choreography", (2, 2), 8, 2, 171), ("choreography", (3, 2), 20, 11, 210),
+    ("direct", (2, 2), 6, 2, 171), ("direct", (3, 2), 14, 3, 282)])
+def test_controlled_fusion_census(cpl1, mode, geo, max_groups, min_monomial, max_gathered):
+    """The step's plan: its group count, its monomial groups with A > 1,
+    which the support kernel runs as index maps instead of gathering them,
+    and the multiply-adds per gathered amplitude (the sum of A over the
     other groups with A > 1); every group stores at most _FUSE_MAX_DIM**2
-    block entries."""
+    block entries.  Direct mode's count needs uw's exact zeros."""
     lay = build_layout(LatticeGeometry(*geo), 3)
-    plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, "choreography", 1).ops)
+    plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, mode, 1).ops)
     wide = [g for g in plan if g.blocks.shape[1] > 1]
     monomial = sum(g.perm is not None for g in wide)
     gathered = sum(g.blocks.shape[1] for g in wide if g.perm is None)

@@ -6,6 +6,7 @@ import pytest
 from conftest import build_global_singlet, taylor_expm
 from zngauge.algebra import make_link_algebra
 from zngauge.lattice import gate_group, project_support, run_gates
+from zngauge.schedule import compile_step
 from zngauge.stators import (
     COLLISION_ANGLE,
     GATE_VOCABULARY,
@@ -18,7 +19,6 @@ from zngauge.stators import (
     framed_op,
     gate_matrix,
     n0_pair_phase,
-    plaquette_stator_sequence,
     rwa_project,
     scattering_lengths_to_couplings,
     selective_collision,
@@ -108,10 +108,6 @@ def test_q_entangler_controls_on_ancilla_label(alg3):
             got = u @ kron2(link, anc)
             want = kron2(np.linalg.matrix_power(alg3.q, m) @ link, anc)
             np.testing.assert_allclose(got, want, atol=1e-14)
-    inv = stator_entangler(alg3, "inverse")
-    assert np.abs(inv - u.conj().T).max() < 1e-14
-    with pytest.raises(ValueError):
-        stator_entangler(alg3, "sideways")
 
 
 def test_q_stator_eigenoperator_relation(alg3):
@@ -193,6 +189,15 @@ def test_uw_is_occupation_controlled_clock(alg3):
     u = gate_matrix("uw", (), (3, 2))
     want = kron2(np.eye(3), np.diag([1.0, 0.0])) + kron2(alg3.q, np.diag([0.0, 1.0]))
     assert np.abs(u - want).max() < 1e-12
+
+
+@pytest.mark.parametrize("N", [2, 3, 4, 5])
+def test_uw_is_the_exact_controlled_shift(N):
+    """sum_n Q^n (x) |n><n| over the fermion's two levels, entry for entry:
+    a monomial gate keeps exact zeros, with no rounding residue."""
+    q = make_link_algebra(N).q
+    want = kron2(np.eye(N), np.diag([1.0, 0.0])) + kron2(q, np.diag([0.0, 1.0]))
+    assert np.array_equal(gate_matrix("uw", (), (N, 2)), want)
 
 
 def test_flip_and_fourier_ancilla_gates(alg3):
@@ -339,30 +344,30 @@ def test_collision_calibration_rejects_degenerate_eta1():
 # plaquette stators on the real register set
 
 
-def test_plaquette_sequence_layout(layout22):
-    ops = plaquette_stator_sequence(layout22, (0, 0))
+def plaquette_window(layout, cpl):
+    """The ops of the 2x2 direct step's plaquette window."""
+    sched = compile_step(layout, cpl, 0.1, "direct", 1)
+    _, lo, hi = next(w for w in sched.substeps if w[0] == "plaq_even")
+    return sched.ops[lo:hi]
+
+
+def test_plaquette_sequence_layout(layout22, cpl1):
+    ops = plaquette_window(layout22, cpl1)
     assert [op.name for op in ops] == [
+        "q_entangler", "q_entangler", "q_entangler_dag", "q_entangler_dag", "anc_drive",
         "q_entangler", "q_entangler", "q_entangler_dag", "q_entangler_dag",
     ]
-    assert [op.targets for op in ops] == [(4, 8), (7, 8), (6, 8), (5, 8)]
-    inv = plaquette_stator_sequence(layout22, (0, 0), "inverse")
-    assert [op.name for op in inv] == [
-        "q_entangler", "q_entangler", "q_entangler_dag", "q_entangler_dag",
-    ]
-    assert [op.targets for op in inv] == [(5, 8), (6, 8), (7, 8), (4, 8)]
-    with pytest.raises(KeyError):
-        plaquette_stator_sequence(layout22, (0, 5))
-    with pytest.raises(ValueError):
-        plaquette_stator_sequence(layout22, (0, 0), "backward")
+    assert [op.targets for op in ops] == [
+        (4, 8), (7, 8), (6, 8), (5, 8), (8,), (5, 8), (6, 8), (7, 8), (4, 8)]
 
 
-def test_plaquette_sequence_inverts(layout22):
+def test_plaquette_sequence_inverts(layout22, cpl1):
+    """The window's entanglers without its drive compose to the identity."""
     rng = np.random.default_rng(9)
     amp = rng.normal(size=layout22.total_dim) + 1j * rng.normal(size=layout22.total_dim)
     amp /= np.linalg.norm(amp)
     dims = tuple(int(d) for d in layout22.dims)
-    ops = (plaquette_stator_sequence(layout22, (0, 0))
-           + plaquette_stator_sequence(layout22, (0, 0), "inverse"))
+    ops = [op for op in plaquette_window(layout22, cpl1) if op.name != "anc_drive"]
     groups = []
     for op in ops:
         gate = gate_matrix(op.name, op.params, tuple(dims[t] for t in op.targets))
