@@ -133,7 +133,7 @@ def run_quench(config: SimulationConfig, out_dir: str | None = None,
     their amplitudes, by `execute_support`; its observables and `shots`
     read that support.  The support kernel raises MemoryError before a
     group whose arrays would not fit in physical memory, and ValueError
-    when the lattice's basis indices or row keys do not fit int64.
+    when the lattice's basis indices do not fit int64.
     Records per step: Gauss-law expectation per vertex, total fermion
     number, flux-sector probabilities, ancilla restoration, the norm the
     support kernel has dropped so far (a bound on the distance to exact

@@ -265,17 +265,18 @@ class GateGroup:
     `blocks` has shape (C, A, A): one block on the `active` registers per
     control value, C and A being the products of the control and active
     dims, both indexed in the mixed-radix order of their registers.  A
-    diagonal gate has A = 1, a gate with no control C = 1.  A monomial
-    group, whose every block column holds exactly one nonzero, also keeps
-    that nonzero's row `perm[c, a]` and value `phase[c, a]`, both (C, A);
-    they are None on any other group.
+    diagonal gate has A = 1, a gate with no control C = 1.  The column
+    tables `rows` and `values`, both (C, A, w), list the w nonzeros of
+    each block column: block c maps active value a onto rows[c, a] with
+    values[c, a], w being the most any column holds; a column with fewer
+    is padded with value 0.  A monomial group has w = 1.
     """
 
     controls: tuple[int, ...]
     active: tuple[int, ...]
     blocks: np.ndarray
-    perm: np.ndarray | None = None
-    phase: np.ndarray | None = None
+    rows: np.ndarray
+    values: np.ndarray
 
     @property
     def targets(self) -> tuple[int, ...]:
@@ -295,7 +296,7 @@ def check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
 
 def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> GateGroup:
     """Check targets, shape and per-block unitarity of a stack of blocks, and
-    keep the (perm, phase) table of a monomial stack."""
+    list the nonzeros of each block column."""
     targets = check_targets(dims, tuple(controls) + tuple(active))
     controls, active = targets[:len(controls)], targets[len(controls):]
     c_dim = math.prod(dims[t] for t in controls)
@@ -306,14 +307,18 @@ def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> 
     err = np.abs(blocks.conj().transpose(0, 2, 1) @ blocks - np.eye(a_dim)).max()
     if err > UNITARITY_TOL:
         raise ValueError(f"gate not unitary: max |U!U - 1| = {err:.3e}")
-    nonzero = blocks != 0
-    if not (nonzero.sum(axis=1) == 1).all():
-        return GateGroup(controls, active, blocks)
-    perm = nonzero.argmax(axis=1)
-    phase = np.take_along_axis(blocks, perm[:, None, :], axis=1)[:, 0]
-    for table in (perm, phase):
+    columns = blocks.transpose(0, 2, 1)
+    nonzero = columns != 0
+    counts = nonzero.sum(axis=2)
+    # each column's nonzeros, in row order, fill its first counts[c, a] slots
+    slots = np.arange(counts.max()) < counts[..., None]
+    rows = np.zeros(slots.shape, dtype=np.int64)
+    values = np.zeros(slots.shape, dtype=np.complex128)
+    rows[slots] = nonzero.nonzero()[2]
+    values[slots] = columns[nonzero]
+    for table in (rows, values):
         table.setflags(write=False)
-    return GateGroup(controls, active, blocks, perm, phase)
+    return GateGroup(controls, active, blocks, rows, values)
 
 
 def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
@@ -366,16 +371,11 @@ def _support_tables(dims: tuple[int, ...], controls: tuple[int, ...],
     """A group's targets as `run_support` reads them.  `local` is the value
     of the target digits in increasing register order, the nested sum of
     (index // stride) % size over `runs` of consecutive targets (no modulo
-    when the run leads); the tables map it to the control value, the
-    active value and `shift`, which makes index + shift[local] the row key:
-    the index with its active digits zeroed, plus control * prod(dims) so
-    that one control value's rows sort together.  `offsets` holds the
-    index offset of each active value.  ValueError when the row keys do
-    not fit int64."""
-    c_dim = math.prod(dims[t] for t in controls)
-    if c_dim * math.prod(dims) - 1 > INT64_MAX:
-        raise ValueError(f"the support kernel's row keys, {c_dim} x {math.prod(dims)} "
-                         f"(controls x basis states), do not fit int64")
+    when the run leads); the tables map it to the control value and the
+    active value, and `offsets` holds the index offset of each active
+    value.  ValueError when the basis indices of `dims` do not fit int64."""
+    if math.prod(dims) - 1 > INT64_MAX:
+        raise ValueError(f"the indices of {math.prod(dims)} basis states do not fit int64")
     regs = sorted(controls + active)
     stride = {t: math.prod(dims[t + 1:]) for t in regs}
     runs, start = [], 0
@@ -394,13 +394,12 @@ def _support_tables(dims: tuple[int, ...], controls: tuple[int, ...],
         return value
 
     control, act = radix(controls), radix(active)
-    shift = control * math.prod(dims) - sum((digit[t] * stride[t] for t in active), 0)
     a_dim = math.prod(dims[t] for t in active)
     values = np.indices([dims[t] for t in active]).reshape(len(active), a_dim)
     offsets = np.dot([stride[t] for t in active], values).astype(np.int64).reshape(-1)
-    for table in (control, act, shift, offsets):
+    for table in (control, act, offsets):
         table.setflags(write=False)
-    return tuple(runs), control, act, shift, offsets
+    return tuple(runs), control, act, offsets
 
 
 def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
@@ -409,72 +408,66 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
 
     `index` holds distinct basis indices of `dims` and `amplitudes` their
     amplitudes; every other amplitude is zero.  Per group, each index
-    splits into its non-active digits, its control value c and its active
-    value a.  A monomial group (A = 1 is its diagonal case) maps each
-    entry on its own: the index moves by offsets[perm[c, a]] - offsets[a]
-    and the amplitude takes phase[c, a], so the support keeps its size.
-    Any other group gathers the entries into (K, A) rows, one per
-    non-active digit string present, applies the blocks by one matmul per
-    control value present, and scatters the rows back with every amplitude
-    of modulus at most SUPPORT_TOL dropped.  Returns the indices,
-    ascending, their amplitudes, and the summed norms of what each group
-    dropped, which bounds the distance to the exact result since every
-    group is unitary.  The inputs are never written.  MemoryError, before
-    a gathering group's (K, A) arrays are allocated, when they would not
-    fit in physical memory.
+    splits into its control value c and its active value a, and the entry
+    goes to each nonzero of its block column: index - offsets[a] +
+    offsets[rows[c, a]], times values[c, a].  A monomial group (w = 1)
+    maps each entry on its own, so the support keeps its size.  Any other
+    group sorts the entries it spreads to, sums those on equal indices and
+    drops every amplitude of modulus at most SUPPORT_TOL.  Returns the
+    indices, ascending, their amplitudes, and the summed norms of what
+    each group dropped, which bounds the distance to the exact result
+    since every group is unitary.  The inputs are never written.
+    MemoryError, before a spreading group's arrays are allocated, when
+    they would not fit in physical memory.
     """
     dims = tuple(int(d) for d in dims)
-    space = math.prod(dims)
     dropped = 0.0
     for g in groups:
-        runs, control, active, shift, offsets = _support_tables(dims, g.controls, g.active)
+        runs, control, active, offsets = _support_tables(dims, g.controls, g.active)
         local = None
         for stride, size, leading in runs:
             digits = index // stride if stride > 1 else index
             digits = digits if leading else digits % size
             local = digits if local is None else local * size + digits
-        n_blk, a_dim = g.blocks.shape[:2]
-        if g.perm is not None:
-            amplitudes = amplitudes * g.phase[control, active][local]
-            if a_dim > 1:
-                index = index + (offsets[g.perm[control, active]] - offsets[active])[local]
+        width = g.rows.shape[2]
+        values = g.values[control, active]
+        step = offsets[g.rows[control, active]] - offsets[active][:, None]
+        if width == 1:
+            amplitudes = amplitudes * np.take(values[:, 0], local)
+            if g.blocks.shape[1] > 1:
+                index = index + np.take(step[:, 0], local)
             continue
-        key = index + shift[local]
-        order = key.argsort()
-        key = key[order]
-        new = _run_starts(key)
-        rows = key[new]
-        # bytes held at once: 49 per entry of the support (index 8, amplitude
-        # 16, local 8, key 8, order 8, new 1), and per (K, A) entry 89: x and
-        # y 16 each, modulus 8, mask 1, kept 8, row and value 8 each, and the
-        # new index 8 and amplitude 16 should every entry be kept
-        need = 49 * index.size + 89 * rows.size * a_dim
+        nonzero = values != 0
+        n_spread = int(np.dot(np.bincount(local, minlength=nonzero.shape[0]),
+                              nonzero.sum(axis=1)))
+        # bytes held at once, at most: 32 per support entry (index 8,
+        # amplitude 16, local 8), 17 per slot of the n x w expansion
+        # (amplitude 16, padding mask 1; its index is compressed first) and
+        # 48 per spread entry (index and amplitude, their sorted copies and
+        # the sort order)
+        need = 32 * index.size + 17 * index.size * width + 48 * n_spread
         if need > PHYSICAL_MEMORY:
-            raise MemoryError(f"the support kernel needs about {need / 2**30:.3g} GiB for a "
-                              f"group of {rows.size} rows of {a_dim}, over the "
+            raise MemoryError(f"the support kernel needs about {need / 2**30:.3g} GiB to spread "
+                              f"{index.size} entries onto {n_spread}, over the "
                               f"{PHYSICAL_MEMORY / 2**30:.3g} GiB of physical memory")
-        # row 0 of x is a spare, so the running count of new keys is the row
-        x = np.zeros((rows.size + 1) * a_dim, dtype=np.complex128)
-        x[new.cumsum() * a_dim + active[local[order]]] = amplitudes[order]
-        x = x.reshape(-1, a_dim)[1:]
-        if n_blk == 1:
-            y = x @ g.blocks[0].T
-        else:
-            c_rows, rows = np.divmod(rows, space)
-            bounds = np.searchsorted(c_rows, np.arange(n_blk + 1)).tolist()
-            y = np.empty_like(x)
-            for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                if lo < hi:
-                    np.matmul(x[lo:hi], g.blocks[c].T, out=y[lo:hi])
-        y = y.reshape(-1)
-        modulus = np.abs(y)
-        small = modulus <= SUPPORT_TOL
-        lost = modulus[small]
-        dropped += math.sqrt(np.dot(lost, lost))
-        kept = (~small).nonzero()[0]
-        amplitudes = y[kept]
-        row, value = np.divmod(kept, a_dim)
-        index = rows[row] + offsets[value]
+        keep = np.take(nonzero, local, axis=0)
+        target = np.take(step, local, axis=0)
+        target += index[:, None]
+        target = target[keep]
+        spread = np.take(values, local, axis=0)
+        spread *= amplitudes[:, None]
+        spread = spread[keep]
+        del keep
+        order = target.argsort()
+        target, spread = target[order], spread[order]
+        del order
+        starts = _run_starts(target).nonzero()[0]
+        index, amplitudes = target[starts], np.add.reduceat(spread, starts)
+        del target, spread, starts
+        small = np.abs(amplitudes) <= SUPPORT_TOL
+        if small.any():
+            dropped += float(np.linalg.norm(amplitudes[small]))
+            index, amplitudes = index[~small], amplitudes[~small]
     order = index.argsort()
     return index[order], amplitudes[order], dropped
 

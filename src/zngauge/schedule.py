@@ -444,7 +444,7 @@ def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
     a_dim = math.prod(udims[len(controls):])
     columns = np.tile(np.eye(a_dim), (c_dim, 1))
     moved = [GateGroup(tuple(local[t] for t in m.controls), tuple(local[t] for t in m.active),
-                       m.blocks) for m in members]
+                       m.blocks, m.rows, m.values) for m in members]
     blocks = run_gates(moved, udims, columns).reshape(c_dim, a_dim, a_dim)
     return block_group(dims, controls, active, blocks)
 

@@ -398,18 +398,27 @@ def test_manifest_records_the_environment(tmp_path):
 
 
 def test_support_kernel_refuses_a_group_over_physical_memory(monkeypatch, capsys):
-    """With no memory to spare, the first wide group of a 2x2 quench raises
-    MemoryError in run_support before its (K, A) arrays exist, and the CLI
-    exits 2 with the message."""
+    """With no memory to spare, the first spreading group of a 2x2 quench
+    raises MemoryError in run_support before any expanded array exists,
+    and the CLI exits 2 with the message."""
     monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 0)
     with pytest.raises(MemoryError, match="physical memory") as info:
         run_quench(SimulationConfig(n_steps=1))
     frame = info.traceback[-1]
     assert frame.name == "run_support"
-    assert frame.locals["a_dim"] > 1 and "x" not in frame.locals
+    assert frame.locals["width"] > 1
+    assert not {"keep", "target", "spread", "order"} & set(frame.locals)
     assert cli.main(["quench"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the support kernel needs") and "physical memory" in err
+
+
+def test_5x3_quench_is_refused_by_the_memory_guard(monkeypatch):
+    """5x3 basis indices fit int64, but its support soon spreads past what a
+    1 GiB host holds: the kernel refuses the group before allocating it."""
+    monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 2**30)
+    with pytest.raises(MemoryError, match="physical memory"):
+        run_quench(SimulationConfig(Lx=5, Ly=3))
 
 
 def test_3x3_direct_quench_keeps_the_gauss_law():

@@ -245,6 +245,29 @@ def test_apply_gate_error_paths(layout22):
         run_gates((gate_group(dims, np.eye(3), [9]),), dims, amp)
 
 
+def _drawn_targets(data):
+    """Drawn register dims, disjoint controls and (at least one) active
+    registers among them, and a seeded generator."""
+    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), "dims"))
+    order = data.draw(st.permutations(range(len(dims))), "order")
+    n_active = data.draw(st.integers(1, len(dims)), "n_active")
+    n_control = data.draw(st.integers(0, len(dims) - n_active), "n_control")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    return dims, order[n_active:n_active + n_control], order[:n_active], rng
+
+
+def _support_against_dense(group, dims, index, values):
+    """run_support on a support, and the largest deviation of the state it
+    gives from run_gates on the dense state: (indices, dropped, deviation)."""
+    size = math.prod(dims)
+    dense = np.zeros(size, dtype=np.complex128)
+    dense[index] = values
+    got_index, got_values, dropped = run_support((group,), dims, index, values)
+    got = np.zeros(size, dtype=np.complex128)
+    got[got_index] = got_values
+    return got_index, dropped, np.abs(got - run_gates((group,), dims, dense)).max()
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_monomial_groups_run_as_index_maps(data):
@@ -252,30 +275,47 @@ def test_monomial_groups_run_as_index_maps(data):
     control value, on drawn registers: the support kernel maps each entry
     to what the dense kernel gives, keeps the support's size and drops
     nothing."""
-    dims = tuple(data.draw(st.lists(st.integers(2, 4), min_size=1, max_size=5), "dims"))
-    order = data.draw(st.permutations(range(len(dims))), "order")
-    n_active = data.draw(st.integers(1, len(dims)), "n_active")
-    n_control = data.draw(st.integers(0, len(dims) - n_active), "n_control")
-    active, controls = order[:n_active], order[n_active:n_active + n_control]
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    dims, controls, active, rng = _drawn_targets(data)
     c_dim = math.prod(dims[t] for t in controls)
     a_dim = math.prod(dims[t] for t in active)
     blocks = np.zeros((c_dim, a_dim, a_dim), dtype=np.complex128)
     for c in range(c_dim):
         blocks[c, rng.permutation(a_dim), np.arange(a_dim)] = np.exp(2j * np.pi * rng.random(a_dim))
     group = block_group(dims, controls, active, blocks)
-    assert group.perm is not None
+    assert group.rows.shape == group.values.shape == (c_dim, a_dim, 1)
     size = math.prod(dims)
     index = np.sort(rng.choice(size, size=rng.integers(1, size + 1), replace=False))
     values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
-    dense = np.zeros(size, dtype=np.complex128)
-    dense[index] = values
-    got_index, got_values, dropped = run_support((group,), dims, index, values)
+    got_index, dropped, deviation = _support_against_dense(group, dims, index, values)
     assert dropped == 0 and got_index.size == index.size
-    assert np.all(np.diff(got_index) > 0)
-    got = np.zeros(size, dtype=np.complex128)
-    got[got_index] = got_values
-    assert np.abs(got - run_gates((group,), dims, dense)).max() <= 1e-14
+    assert np.all(np.diff(got_index) > 0) and deviation <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_column_sparse_groups_spread_to_the_dense_result(data):
+    """Blocks that are a phased permutation times a block-diagonal of small
+    random unitaries, the widest w >= 2 across, one per control value, on
+    drawn registers: the support kernel spreads a shuffled support to what
+    the dense kernel gives, on ascending indices, dropping only rounding."""
+    dims, controls, active, rng = _drawn_targets(data)
+    c_dim = math.prod(dims[t] for t in controls)
+    a_dim = math.prod(dims[t] for t in active)
+    width = data.draw(st.integers(2, min(a_dim, 6)), "width")
+    blocks = np.zeros((c_dim, a_dim, a_dim), dtype=np.complex128)
+    for c in range(c_dim):
+        for lo in range(0, a_dim, width):
+            hi = min(lo + width, a_dim)
+            blocks[c, lo:hi, lo:hi] = random_unitary(hi - lo, rng)
+        phases = np.exp(2j * np.pi * rng.random(a_dim))
+        blocks[c] = (phases[:, None] * blocks[c])[rng.permutation(a_dim)]
+    group = block_group(dims, controls, active, blocks)
+    assert group.rows.shape == (c_dim, a_dim, width)
+    size = math.prod(dims)
+    index = rng.permutation(size)[:rng.integers(1, size + 1)]
+    values = rng.normal(size=index.size) + 1j * rng.normal(size=index.size)
+    got_index, dropped, deviation = _support_against_dense(group, dims, index, values)
+    assert np.all(np.diff(got_index) > 0) and dropped <= 1e-12 and deviation <= 1e-14
 
 
 @pytest.mark.parametrize("shape, policy, n", [((2, 2), "per_plaquette", 1),

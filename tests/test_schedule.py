@@ -554,21 +554,21 @@ def test_a_non_unitary_block_raises(layout22):
         block_group(dims, (f,), (link,), blocks[:, :2, :2])
 
 
-@pytest.mark.parametrize("mode, geo, max_groups, min_monomial, max_gathered", [
-    ("choreography", (2, 2), 8, 2, 171), ("choreography", (3, 2), 20, 11, 210),
-    ("direct", (2, 2), 6, 2, 171), ("direct", (3, 2), 14, 3, 282)])
-def test_controlled_fusion_census(cpl1, mode, geo, max_groups, min_monomial, max_gathered):
+@pytest.mark.parametrize("mode, geo, max_groups, min_monomial, max_spread", [
+    ("choreography", (2, 2), 8, 2, 11), ("choreography", (3, 2), 20, 11, 20),
+    ("direct", (2, 2), 6, 2, 9), ("direct", (3, 2), 14, 3, 20)])
+def test_controlled_fusion_census(cpl1, mode, geo, max_groups, min_monomial, max_spread):
     """The step's plan: its group count, its monomial groups with A > 1,
-    which the support kernel runs as index maps instead of gathering them,
-    and the multiply-adds per gathered amplitude (the sum of A over the
-    other groups with A > 1); every group stores at most _FUSE_MAX_DIM**2
-    block entries.  Direct mode's count needs uw's exact zeros."""
+    which the support kernel runs as index maps, and the multiply-adds per
+    amplitude of the others (the sum of their column widths w > 1); every
+    group stores at most _FUSE_MAX_DIM**2 block entries.  Direct mode's
+    count needs uw's exact zeros."""
     lay = build_layout(LatticeGeometry(*geo), 3)
     plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, mode, 1).ops)
-    wide = [g for g in plan if g.blocks.shape[1] > 1]
-    monomial = sum(g.perm is not None for g in wide)
-    gathered = sum(g.blocks.shape[1] for g in wide if g.perm is None)
-    assert len(plan) <= max_groups and monomial >= min_monomial and gathered <= max_gathered
+    width = [g.rows.shape[2] for g in plan]
+    monomial = sum(w == 1 and g.blocks.shape[1] > 1 for g, w in zip(plan, width))
+    spread = sum(w for w in width if w > 1)
+    assert len(plan) <= max_groups and monomial >= min_monomial and spread <= max_spread
     assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
 
 
