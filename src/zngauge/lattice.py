@@ -260,21 +260,18 @@ def singlet_support(layout: RegisterLayout) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class GateGroup:
-    """A checked unitary, block-diagonal on its `controls`.
-
-    `blocks` has shape (C, A, A): one block on the `active` registers per
-    control value, C and A being the products of the control and active
-    dims, both indexed in the mixed-radix order of their registers.  A
-    diagonal gate has A = 1, a gate with no control C = 1.  The column
-    tables `rows` and `values`, both (C, A, w), list the w nonzeros of
-    each block column: block c maps active value a onto rows[c, a] with
-    values[c, a], w being the most any column holds; a column with fewer
-    is padded with value 0.  A monomial group has w = 1.
+    """A checked unitary, block-diagonal on its `controls`: one block on the
+    `active` registers per control value, C and A being the products of the
+    control and active dims, both indexed in the mixed-radix order of their
+    registers.  A diagonal gate has A = 1, a gate with no control C = 1.
+    The column tables `rows` and `values`, both (C, A, w), list the w
+    nonzeros of each block column: block c maps active value a onto
+    rows[c, a] with values[c, a], w being the most any column holds; a
+    column with fewer is padded with value 0.  A monomial group has w = 1.
     """
 
     controls: tuple[int, ...]
     active: tuple[int, ...]
-    blocks: np.ndarray
     rows: np.ndarray
     values: np.ndarray
 
@@ -295,8 +292,9 @@ def check_targets(dims: tuple[int, ...], targets) -> tuple[int, ...]:
 
 
 def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> GateGroup:
-    """Check targets, shape and per-block unitarity of a stack of blocks, and
-    list the nonzeros of each block column."""
+    """Check targets, shape and per-block unitarity of a (C, A, A) stack of
+    blocks, and list the nonzeros of each block column; the stack itself
+    is not kept."""
     targets = check_targets(dims, tuple(controls) + tuple(active))
     controls, active = targets[:len(controls)], targets[len(controls):]
     c_dim = math.prod(dims[t] for t in controls)
@@ -318,7 +316,7 @@ def block_group(dims: tuple[int, ...], controls, active, blocks: np.ndarray) -> 
     values[slots] = columns[nonzero]
     for table in (rows, values):
         table.setflags(write=False)
-    return GateGroup(controls, active, blocks, rows, values)
+    return GateGroup(controls, active, rows, values)
 
 
 def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateGroup:
@@ -345,24 +343,6 @@ def gate_group(dims: tuple[int, ...], gate_matrix: np.ndarray, targets) -> GateG
     c = np.arange(c_dim)
     return block_group(dims, [targets[i] for i in ctrl], [targets[i] for i in act],
                        joint[c, :, c, :])
-
-
-def run_gates(groups, dims: tuple[int, ...], amplitudes: np.ndarray) -> np.ndarray:
-    """Apply checked gate groups in order; trailing axes beyond `dims` are batch.
-
-    Per group, one transpose brings its controls, then its active
-    registers, to the front, one stacked matmul applies its blocks (a
-    product when A = 1), and one transpose restores register order.  The
-    input is never written.
-    """
-    out = np.asarray(amplitudes, dtype=np.complex128).reshape(tuple(int(d) for d in dims) + (-1,))
-    for g in groups:
-        order = list(g.targets) + [t for t in range(out.ndim) if t not in g.targets]
-        moved = out.transpose(order)
-        x = moved.reshape(g.blocks.shape[:2] + (-1,))
-        y = x * g.blocks if g.blocks.shape[1] == 1 else np.matmul(g.blocks, x)
-        out = y.reshape(moved.shape).transpose(np.argsort(order))
-    return np.array(out, order="C").reshape(amplitudes.shape)
 
 
 @lru_cache(maxsize=1024)
@@ -402,8 +382,8 @@ def _support_tables(dims: tuple[int, ...], controls: tuple[int, ...],
     return tuple(runs), control, act, offsets
 
 
-def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
-                amplitudes: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def run_support(groups, dims: tuple[int, ...], index: np.ndarray, amplitudes: np.ndarray,
+                *, tol: float | None = None) -> tuple[np.ndarray, np.ndarray, float]:
     """Apply checked gate groups to a state given on its support.
 
     `index` holds distinct basis indices of `dims` and `amplitudes` their
@@ -413,7 +393,8 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
     offsets[rows[c, a]], times values[c, a].  A monomial group (w = 1)
     maps each entry on its own, so the support keeps its size.  Any other
     group sorts the entries it spreads to, sums those on equal indices and
-    drops every amplitude of modulus at most SUPPORT_TOL.  Returns the
+    drops every amplitude of modulus at most `tol` (SUPPORT_TOL when None;
+    0.0 drops exact zeros only).  Returns the
     indices, ascending, their amplitudes, and the summed norms of what
     each group dropped, which bounds the distance to the exact result
     since every group is unitary.  The inputs are never written.
@@ -421,6 +402,7 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
     they would not fit in physical memory.
     """
     dims = tuple(int(d) for d in dims)
+    tol = SUPPORT_TOL if tol is None else tol
     dropped = 0.0
     for g in groups:
         runs, control, active, offsets = _support_tables(dims, g.controls, g.active)
@@ -434,7 +416,7 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
         step = offsets[g.rows[control, active]] - offsets[active][:, None]
         if width == 1:
             amplitudes = amplitudes * np.take(values[:, 0], local)
-            if g.blocks.shape[1] > 1:
+            if g.active:
                 index = index + np.take(step[:, 0], local)
             continue
         nonzero = values != 0
@@ -464,7 +446,7 @@ def run_support(groups, dims: tuple[int, ...], index: np.ndarray,
         starts = _run_starts(target).nonzero()[0]
         index, amplitudes = target[starts], np.add.reduceat(spread, starts)
         del target, spread, starts
-        small = np.abs(amplitudes) <= SUPPORT_TOL
+        small = np.abs(amplitudes) <= tol
         if small.any():
             dropped += float(np.linalg.norm(amplitudes[small]))
             index, amplitudes = index[~small], amplitudes[~small]

@@ -31,7 +31,6 @@ from .lattice import (
     check_targets,
     gate_group,
     is_even,
-    run_gates,
     run_support,
 )
 from .algebra import Couplings, monomial_map
@@ -39,7 +38,9 @@ from .stators import COLLISION_ANGLE, FRAME_STEPS, GateOp, framed_op, gate_matri
 
 GRADIENT_TOL = 1e-12
 
-# one fused gate group stores at most _FUSE_MAX_DIM**2 block entries
+# one fused gate group spans at most _FUSE_MAX_DIM**2 block entries C*A**2:
+# the transient block stack block_group checks, which also bounds the C*A*w
+# entries its identity columns produce in the support kernel
 _FUSE_MAX_DIM = 72
 
 # choreography stages of each link class's gauge-matter block (create, phase,
@@ -390,10 +391,9 @@ def _fuse(layout: RegisterLayout, ops) -> tuple[GateGroup, ...]:
     every frame is closed.  ValueError when a frame is still open after
     the last op.  A register is a control of a group when every member
     that targets it leaves it a control, so the product keeps their exact
-    zeros.  A group grows while its stored block entries C*A**2 stay
-    within _FUSE_MAX_DIM**2; its blocks come from pushing the members
-    through the gate kernel on the columns sum_c |c>|a'>, one per active
-    value a'.
+    zeros.  A group grows while its block entries C*A**2 stay within
+    _FUSE_MAX_DIM**2, which bounds both the transient block stack that
+    `_stack` checks and the C*A*w entries its identity columns produce.
     """
     dims = layout.dims
     v = len(layout.geometry.vertices)
@@ -436,16 +436,30 @@ def _split(members: list[GateGroup]) -> tuple[list[int], list[int]]:
 
 def _stack(dims: tuple[int, ...], members: list[GateGroup]) -> GateGroup:
     """The checked group of the product of `members`, built without its
-    joint matrix."""
+    joint matrix.
+
+    The members run through `run_support` on the C*A identity columns of
+    the group's registers (controls first), basis state j tagged by one
+    more trailing register of dimension k = C*A that no member targets.
+    Every nonzero is kept (tol 0.0), so the column lists keep the exact
+    zeros of the product and nothing is dropped unaccounted; the output
+    entries fill the (C, A, A) block stack that `block_group` checks and
+    tables, which is then let go.
+    """
     controls, active = _split(members)
     local = {t: i for i, t in enumerate(controls + active)}
     udims = tuple(dims[t] for t in controls + active)
     c_dim = math.prod(udims[:len(controls)])
     a_dim = math.prod(udims[len(controls):])
-    columns = np.tile(np.eye(a_dim), (c_dim, 1))
+    k = c_dim * a_dim
     moved = [GateGroup(tuple(local[t] for t in m.controls), tuple(local[t] for t in m.active),
-                       m.blocks, m.rows, m.values) for m in members]
-    blocks = run_gates(moved, udims, columns).reshape(c_dim, a_dim, a_dim)
+                       m.rows, m.values) for m in members]
+    j = np.arange(k)
+    index, values, _ = run_support(moved, udims + (k,), j * k + j,
+                                   np.ones(k, dtype=np.complex128), tol=0.0)
+    row, column = np.divmod(index, k)
+    blocks = np.zeros((c_dim, a_dim, a_dim), dtype=np.complex128)
+    blocks[column // a_dim, row % a_dim, column % a_dim] = values
     return block_group(dims, controls, active, blocks)
 
 

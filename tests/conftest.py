@@ -5,7 +5,7 @@ import pytest
 
 from zngauge.algebra import (Couplings, edges_to_dense, hamiltonian_edges, make_link_algebra,
                              term_factor_maps)
-from zngauge.lattice import (LatticeGeometry, build_layout, gate_group, project_support, run_gates,
+from zngauge.lattice import (LatticeGeometry, build_layout, gate_group, project_support,
                              singlet_support)
 from zngauge.schedule import _plan
 
@@ -32,6 +32,34 @@ def build_global_singlet(layout):
     amplitudes = np.zeros(layout.total_dim, dtype=np.complex128)
     amplitudes[index] = values
     return amplitudes
+
+
+def blocks_of(group):
+    """A gate group's (C, A, A) block stack, scattered from its column lists
+    (a padded slot adds 0 to row 0)."""
+    c_dim, a_dim, _ = group.rows.shape
+    blocks = np.zeros((c_dim, a_dim, a_dim), dtype=np.complex128)
+    c, a, _ = np.indices(group.rows.shape)
+    np.add.at(blocks, (c, group.rows, a), group.values)
+    return blocks
+
+
+def run_gates(groups, dims, amplitudes):
+    """The dense reference of the support kernel: checked gate groups
+    applied in order, each as its block stack; trailing axes beyond `dims`
+    are batch.  Per group, one transpose brings its controls, then its
+    active registers, to the front, one stacked matmul applies its blocks
+    (a product when A = 1), and one transpose restores register order.
+    The input is never written."""
+    out = np.asarray(amplitudes, dtype=np.complex128).reshape(tuple(int(d) for d in dims) + (-1,))
+    for g in groups:
+        blocks = blocks_of(g)
+        order = list(g.targets) + [t for t in range(out.ndim) if t not in g.targets]
+        moved = out.transpose(order)
+        x = moved.reshape(blocks.shape[:2] + (-1,))
+        y = x * blocks if blocks.shape[1] == 1 else np.matmul(blocks, x)
+        out = y.reshape(moved.shape).transpose(np.argsort(order))
+    return np.array(out, order="C").reshape(amplitudes.shape)
 
 
 def dense_run(schedule, amplitudes, op_range=None):

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, dense_run, dense_weights, physical_amplitudes
+from conftest import build_global_singlet, dense_run, dense_weights, physical_amplitudes, run_gates
 import zngauge.algebra as algebra
 import zngauge.drivers as drivers
 import zngauge.lattice as lattice
@@ -32,7 +32,6 @@ from zngauge.lattice import (
     LatticeGeometry,
     build_layout,
     gate_group,
-    run_gates,
     singlet_support,
     total_fermion_number,
 )
@@ -209,6 +208,19 @@ def test_direct_quench_drops_no_rounding_residue():
     leaves the support kernel almost no rounding residue to drop."""
     rows = run_quench(SimulationConfig(mode="direct"))
     assert rows[-1]["truncated_norm"] <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["choreography", "direct"])
+def test_a_tiny_step_keeps_small_plan_entries_and_counts_their_drop(mode):
+    """Plan building keeps every nonzero: the 2x2 plan of a step of 5e-15
+    holds entries of modulus at most SUPPORT_TOL, and a quench of two such
+    steps reports what the support kernel then drops from the state."""
+    layout = build_layout(LatticeGeometry(2, 2), 3)
+    plan = schedule._plan(compile_step(layout, Couplings(), 5e-15, mode, 1))
+    moduli = np.concatenate([np.abs(g.values).ravel() for g in plan])
+    assert np.any((moduli > 0) & (moduli <= lattice.SUPPORT_TOL))
+    rows = run_quench(SimulationConfig(mode=mode, T=1e-14, n_steps=2))
+    assert rows[-1]["truncated_norm"] > 1e-14
 
 
 def test_quench_raises_once_the_dropped_norm_passes_its_budget(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_global_singlet, dense_weights, embed_on, random_unitary
+from conftest import build_global_singlet, dense_weights, embed_on, random_unitary, run_gates
 from zngauge.lattice import (
     LatticeGeometry,
     block_group,
@@ -18,7 +18,6 @@ from zngauge.lattice import (
     is_even,
     marginals,
     project_support,
-    run_gates,
     run_support,
 )
 

@@ -6,11 +6,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (build_global_singlet, dense_run, dense_term, dense_weights, embed_physical,
-                      lift, physical_amplitudes, physical_singlet)
+from conftest import (blocks_of, build_global_singlet, dense_run, dense_term, dense_weights,
+                      embed_physical, lift, physical_amplitudes, physical_singlet, run_gates)
 from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
@@ -27,7 +27,6 @@ from zngauge.lattice import (
     gate_group,
     is_even,
     project_support,
-    run_gates,
     singlet_support,
     total_fermion_number,
 )
@@ -409,6 +408,31 @@ def test_sector_executor_matches_gate_loop(geo, n_link, policy, mode, span):
     assert np.array_equal(amp, saved)
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_plans_match_the_gate_loop_over_geometries_and_n(data):
+    """A plan built by the support kernel, run densely, against the
+    gate-by-gate loop on a random state: lines (direct mode only) and
+    plaquette lattices, N from 2 to 5 (3 in choreography mode), drawn
+    couplings and order, up to 2**21 basis states."""
+    mode = data.draw(st.sampled_from(["choreography", "direct"]), "mode")
+    lines = [(1, 3), (3, 1)] if mode == "direct" else []
+    geo = data.draw(st.sampled_from(lines + [(2, 2), (3, 2), (2, 3)]), "geo")
+    n = 3 if mode == "choreography" else data.draw(st.integers(2, 5), "N")
+    lay = build_layout(LatticeGeometry(*geo), n)
+    assume(lay.total_dim <= 2**21)
+    couplings = st.floats(0.5, 1.5)
+    cpl = Couplings(lambda_e=data.draw(couplings, "lambda_e"),
+                    lambda_b=data.draw(couplings, "lambda_b"),
+                    lambda_gm=data.draw(couplings, "lambda_gm"),
+                    mass=data.draw(couplings, "mass"))
+    sched = compile_step(lay, cpl, 0.4, mode, data.draw(st.integers(1, 2), "order"))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    amp = rng.normal(size=lay.total_dim) + 1j * rng.normal(size=lay.total_dim)
+    amp /= np.linalg.norm(amp)
+    assert np.abs(dense_run(sched, amp) - reference_execute(sched, amp)).max() <= 1e-12
+
+
 @pytest.mark.parametrize("geo", [(2, 2), (3, 2)])
 @pytest.mark.parametrize("mode", ["choreography", "direct"])
 @pytest.mark.parametrize("order", [1, 2])
@@ -485,10 +509,11 @@ def test_substep_ranges_reject_a_split_window():
 
 def dense_of(group):
     """The group's matrix in the mixed-radix basis of group.targets."""
-    c_dim, a_dim = group.blocks.shape[:2]
+    blocks = blocks_of(group)
+    c_dim, a_dim = blocks.shape[:2]
     full = np.zeros((c_dim, a_dim, c_dim, a_dim), dtype=np.complex128)
     c = np.arange(c_dim)
-    full[c, :, c, :] = group.blocks
+    full[c, :, c, :] = blocks
     return full.reshape(c_dim * a_dim, c_dim * a_dim)
 
 
@@ -504,11 +529,11 @@ def test_gate_group_stores_blocks_over_exact_controls(layout22):
     dims = tuple(int(d) for d in layout22.dims)
     f, link, anc = layout22.fermion_index((0, 0)), layout22.link_index(((0, 0), 1)), 8
     uw = gate_group(dims, gate_matrix("uw", (), (3, 2)), (link, f))
-    assert (uw.controls, uw.active, uw.blocks.shape) == ((f,), (link,), (2, 3, 3))
+    assert (uw.controls, uw.active, blocks_of(uw).shape) == ((f,), (link,), (2, 3, 3))
     zz = gate_group(dims, gate_matrix("collision_zz", (COLLISION_ANGLE,), (3, 3)), (link, anc))
-    assert (zz.controls, zz.active, zz.blocks.shape) == ((link, anc), (), (9, 1, 1))
+    assert (zz.controls, zz.active, blocks_of(zz).shape) == ((link, anc), (), (9, 1, 1))
     dft = gate_group(dims, gate_matrix("dft_link", (), (3,)), (link,))
-    assert (dft.controls, dft.active, dft.blocks.shape) == ((), (link,), (1, 3, 3))
+    assert (dft.controls, dft.active) == ((), (link,)) and blocks_of(dft).shape == (1, 3, 3)
 
 
 def test_blocks_rebuild_every_gate_and_group(sched_cho1, sched_dir1):
@@ -533,17 +558,17 @@ def test_a_tiny_entry_is_not_an_exact_zero(layout22):
     gate = gate_matrix("uw", (), (3, 2)).copy()
     gate[0, 1] = 1e-300           # couples fermion digits 0 and 1 of link digit 0
     g = gate_group(dims, gate, (link, f))
-    assert g.controls == () and g.blocks.shape == (1, 6, 6)
+    assert g.controls == () and blocks_of(g).shape == (1, 6, 6)
     assert np.array_equal(dense_of(g), gate)
     phase = np.diag([1.0, 1j])
     phase[1, 0] = 1e-300
-    assert gate_group(dims, phase, (f,)).blocks.shape == (1, 2, 2)
+    assert blocks_of(gate_group(dims, phase, (f,))).shape == (1, 2, 2)
 
 
 def test_a_non_unitary_block_raises(layout22):
     dims = tuple(int(d) for d in layout22.dims)
     f, link = 0, layout22.link_index(((0, 0), 1))
-    blocks = gate_group(dims, gate_matrix("uw", (), (3, 2)), (link, f)).blocks.copy()
+    blocks = blocks_of(gate_group(dims, gate_matrix("uw", (), (3, 2)), (link, f)))
     blocks[1] *= 1.5
     with pytest.raises(ValueError, match="unitary"):
         block_group(dims, (f,), (link,), blocks)
@@ -561,15 +586,16 @@ def test_controlled_fusion_census(cpl1, mode, geo, max_groups, min_monomial, max
     """The step's plan: its group count, its monomial groups with A > 1,
     which the support kernel runs as index maps, and the multiply-adds per
     amplitude of the others (the sum of their column widths w > 1); every
-    group stores at most _FUSE_MAX_DIM**2 block entries.  Direct mode's
-    count needs uw's exact zeros."""
+    group spans at most _FUSE_MAX_DIM**2 block entries C*A**2.  Direct
+    mode's count needs uw's exact zeros."""
     lay = build_layout(LatticeGeometry(*geo), 3)
     plan = schedule_module._fuse(lay, compile_step(lay, cpl1, TAU, mode, 1).ops)
     width = [g.rows.shape[2] for g in plan]
-    monomial = sum(w == 1 and g.blocks.shape[1] > 1 for g, w in zip(plan, width))
+    monomial = sum(w == 1 and g.rows.shape[1] > 1 for g, w in zip(plan, width))
     spread = sum(w for w in width if w > 1)
     assert len(plan) <= max_groups and monomial >= min_monomial and spread <= max_spread
-    assert max(g.blocks.size for g in plan) <= schedule_module._FUSE_MAX_DIM ** 2
+    assert max(math.prod(g.rows.shape[:2]) * g.rows.shape[1] for g in plan) <= (
+        schedule_module._FUSE_MAX_DIM ** 2)
 
 
 def test_a_plan_that_cuts_a_fourier_window_raises(sched_cho1):
@@ -655,14 +681,15 @@ def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order)
     calls = []
     run_support = schedule_module.run_support
 
-    def spy(groups, dims, index, amplitudes):
-        out = run_support(groups, dims, index, amplitudes)
+    def spy(groups, dims, index, amplitudes, **tol):
+        out = run_support(groups, dims, index, amplitudes, **tol)
         calls.append((dims, index.size, out[2]))
         return out
 
     monkeypatch.setattr(schedule_module, "run_support", spy)
     ks = [math.comb(4, n) * 81 for n in range(5)]
     for op_range in [None] + ([sched.substeps[1][1:]] if order == 1 else []):
+        schedule_module._plan(sched, op_range)    # plan building runs the kernel too
         calls.clear()
         check_packed_map(sched, op_range)
         assert [c[:2] for c in calls] == [(tuple(layout22.dims) + (k,), 3 * k) for k in ks]

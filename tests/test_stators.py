@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from conftest import build_global_singlet, taylor_expm
+from conftest import build_global_singlet, run_gates, taylor_expm
 from zngauge.algebra import make_link_algebra
-from zngauge.lattice import gate_group, project_support, run_gates
+from zngauge.lattice import gate_group, project_support
 from zngauge.schedule import compile_step
 from zngauge.stators import (
     COLLISION_ANGLE,
