@@ -25,8 +25,8 @@ from .stators import (collision_calibration, eta_couplings, gate_matrix,
                       n0_pair_phase, scattering_lengths_to_couplings,
                       selective_collision, stator_entangler, z3_collision_entangler)
 from .schedule import (compile_step, dump_schedule, execute_support,
-                       gauge_away_phases, schedule_physical_map, solve_vertex_potential,
-                       spurious_phase_field)
+                       gauge_away_phases, physical_edges, schedule_physical_map,
+                       solve_vertex_potential, spurious_phase_field)
 from .oracle import (ORACLE_DIM_LIMIT, ExactEvolver, exact_norm_sum, bound_validity,
                      trace_phase, trotter_bound)
 from .optical import polarization_vectors, shaping_schedule, v_mat_minima, wave_vectors
@@ -362,7 +362,7 @@ def trotter_errors(layout: RegisterLayout, cpl: Couplings, T: float, steps, orde
     out = []
     for m in steps:
         sched = compile_step(layout, cpl, T / m, mode, order)
-        out.append((evolver.trotter_distance(schedule_physical_map(sched), m, T),
+        out.append((evolver.trotter_distance(physical_edges(sched), m, T),
                     trotter_bound(order, L, lam_max, T, m), sched.gate_count()))
     return out
 

@@ -5,8 +5,10 @@ exact-zero block, and exponentiates eigenvalues, so it is exact to
 rounding and serves as the reference for every Trotter comparison.
 The Trotter distance ||step^M - exp(-iHT)||_2, an exact spectral norm on
 the physical registers, is taken one block of H at a time, since a step
-map built from the Hamiltonian's pieces never couples two of its blocks;
-`diamond_surrogate_distance` takes the same norm of two dense maps.
+map built from the Hamiltonian's pieces never couples two of its blocks:
+it reads the step as an edge list (`schedule.physical_edges`) and makes
+no physical_dim x physical_dim array.  `diamond_surrogate_distance`
+takes the same norm of two dense maps.
 """
 
 from __future__ import annotations
@@ -53,28 +55,43 @@ class ExactEvolver:
             out[idx] = v @ (coeff * np.exp(-1j * w * t)[:, :, None])
         return out.reshape(amplitudes.shape)
 
-    def trotter_distance(self, step: np.ndarray, m: int, t: float) -> float:
+    def trotter_distance(self, step, m: int, t: float) -> float:
         """Exact ||step^m - exp(-iHt)||_2, one block of H at a time.
 
-        Each stack of blocks is cut out of step, raised to the power m and
-        compared with exp(-iHt) on those blocks, built from their eigenpairs.
-        Raises RuntimeError when step couples two blocks (Frobenius norm
-        outside them above BLOCK_LEAK_TOL), since the blockwise power would
-        then be wrong.
+        step is an edge list (dim, rows, cols, vals) without duplicate
+        entries, as `schedule.physical_edges` returns it, or a dense
+        matrix; no dim x dim array is made.  The edges inside one
+        block fill its stack's (k, s, s) array, which is raised to the
+        power m and compared with exp(-iHt) on those blocks, built from
+        their eigenpairs.  ValueError when step's dimension is not H's;
+        RuntimeError when step couples two blocks (Frobenius norm of the
+        edges whose ends lie in different blocks above BLOCK_LEAK_TOL),
+        since the blockwise power would then be wrong.
         """
-        step = np.asarray(step, dtype=np.complex128)
-        inside = np.zeros(step.shape, dtype=bool)
-        dist = 0.0
-        for idx, w, v in self.blocks:
-            cut = (idx[:, :, None], idx[:, None, :])
-            inside[cut] = True
-            target = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
-            diff = np.linalg.matrix_power(step[cut], m) - target
-            dist = max(dist, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
-        leak = float(np.linalg.norm(step[~inside]))
+        dim, rows, cols, vals = as_edges(step)
+        h_dim = sum(idx.size for idx, _, _ in self.blocks)
+        if dim != h_dim:
+            raise ValueError(f"step has dimension {dim}, the Hamiltonian {h_dim}")
+        # each index's stack, its row in that stack and its place in its block
+        stack, row, place = (np.empty(dim, dtype=np.intp) for _ in range(3))
+        for i, (idx, _, _) in enumerate(self.blocks):
+            stack[idx] = i
+            row[idx] = np.arange(idx.shape[0])[:, None]
+            place[idx] = np.arange(idx.shape[1])
+        inside = (stack[rows] == stack[cols]) & (row[rows] == row[cols])
+        leak = float(np.linalg.norm(vals[~inside]))
         if leak > BLOCK_LEAK_TOL:
             raise RuntimeError(
                 f"step couples blocks of the Hamiltonian: off-block norm {leak:.1e}")
+        rows, cols, vals = rows[inside], cols[inside], vals[inside]
+        dist = 0.0
+        for i, (idx, w, v) in enumerate(self.blocks):
+            on = stack[rows] == i
+            mats = np.zeros(v.shape, dtype=np.complex128)
+            mats[row[rows[on]], place[rows[on]], place[cols[on]]] = vals[on]
+            target = (v * np.exp(-1j * t * w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+            diff = np.linalg.matrix_power(mats, m) - target
+            dist = max(dist, float(np.linalg.norm(diff, 2, axis=(1, 2)).max()))
         return dist
 
 

@@ -33,7 +33,7 @@ from .lattice import (
     is_even,
     run_support,
 )
-from .algebra import Couplings, monomial_map
+from .algebra import Couplings, coalesce_edges, edges_to_dense, monomial_map
 from .stators import COLLISION_ANGLE, FRAME_STEPS, GateOp, framed_op, gate_matrix
 
 GRADIENT_TOL = 1e-12
@@ -482,9 +482,9 @@ def execute_support(schedule: Schedule, index: np.ndarray,
     return run_support(_plan(schedule), schedule.layout.dims, index, amplitudes)
 
 
-def schedule_physical_map(schedule: Schedule,
-                          op_range: tuple[int, int] | None = None) -> np.ndarray:
-    """Dense physical-space matrix of (a slice of) the schedule.
+def physical_edges(schedule: Schedule, op_range: tuple[int, int] | None = None):
+    """Physical-space map of (a slice of) the schedule as a coalesced edge
+    list (dim, rows, cols, vals), row-major, no exact zeros.
 
     Ancillas enter in |in~>, the uniform vector over their A joint values
     (the trailing digits), and are projected back onto it at the end,
@@ -493,10 +493,10 @@ def schedule_physical_map(schedule: Schedule,
     The plan runs on the support of the identity columns, held by one
     more trailing register of dimension k that no gate targets, each
     column's A entries at 1/sqrt(A); each output entry adds over sqrt(A)
-    at (its row // A, its column's physical index).  Every gate keeps the
-    fermion number, so every entry between two fermion numbers is an
-    exact zero.  RuntimeError once the norm the support kernel dropped
-    exceeds NORM_TOL.
+    at (its row // A, its column's physical index), duplicates summed in
+    list order by `coalesce_edges`.  Every gate keeps the fermion number,
+    so no entry joins two fermion numbers.  RuntimeError once the norm
+    the support kernel dropped exceeds NORM_TOL.
     """
     layout = schedule.layout
     anc = layout.ancilla_dim
@@ -504,7 +504,7 @@ def schedule_physical_map(schedule: Schedule,
     rest = layout.physical_dim >> v
     dims = layout.dims
     plan = _plan(schedule, op_range)
-    full = np.zeros((layout.physical_dim,) * 2, dtype=np.complex128)
+    rows, cols, vals = [], [], []
     dropped = 0.0
     for n in range(v + 1):
         # the columns run one fermion number at a time, which bounds the
@@ -518,11 +518,22 @@ def schedule_physical_map(schedule: Schedule,
                                           np.full(k * anc, 1 / math.sqrt(anc), dtype=np.complex128))
         dropped += lost
         row, column = np.divmod(index, k)
-        np.add.at(full, (row // anc, columns[column]), values / math.sqrt(anc))
+        rows.append(row // anc)
+        cols.append(columns[column])
+        vals.append(values / math.sqrt(anc))
     if dropped > NORM_TOL:
         raise RuntimeError(f"the support kernel dropped a norm of {dropped:.3e} from the "
                            f"map, over NORM_TOL = {NORM_TOL:g}")
-    return full
+    return coalesce_edges(layout.physical_dim, np.concatenate(rows), np.concatenate(cols),
+                          np.concatenate(vals))
+
+
+def schedule_physical_map(schedule: Schedule,
+                          op_range: tuple[int, int] | None = None) -> np.ndarray:
+    """Dense view of `physical_edges`, a (physical_dim, physical_dim) array:
+    kept for the verify battery, the tests and the benchmark's run check;
+    the Trotter scan reads the edge list."""
+    return edges_to_dense(physical_edges(schedule, op_range))
 
 
 # ---------------------------------------------------------------------------

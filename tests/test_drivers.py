@@ -349,6 +349,27 @@ def test_verify_rejects_zero_time_before_its_dense_work(monkeypatch):
         run_verification_suite(SimulationConfig(T=0))
 
 
+def test_default_trotter_scan_distances_are_pinned():
+    """The default scan's distances, M = 4 ... 64, as the dense step map gave them."""
+    rows = run_trotter_scan(SimulationConfig())
+    want = [0.786209622893, 0.38732005562, 0.192705600628, 0.0961980642789, 0.0480717558228]
+    assert np.abs(np.array([r["distance"] for r in rows]) - want).max() < 1e-12
+
+
+def test_trotter_errors_allocate_no_physical_map(layout22):
+    """A warm 2x2 scan point stays below one 1296^2 complex array: the step
+    map and the distance never take a (physical_dim, physical_dim) form."""
+    cpl = SimulationConfig().couplings()
+    trotter_errors(layout22, cpl, 1.0, (4,), 1, "choreography")
+    tracemalloc.start()
+    try:
+        trotter_errors(layout22, cpl, 1.0, (4,), 1, "choreography")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * layout22.physical_dim ** 2
+
+
 def test_trotter_bound_takes_the_lattice_side(layout22):
     cpl = Couplings(0.7, 1.3, 0.9, 1.1)
     rows = trotter_errors(layout22, cpl, 1.0, (4, 8), 1, "direct")
@@ -359,11 +380,13 @@ def test_trotter_bound_takes_the_lattice_side(layout22):
 
 
 def test_drivers_build_no_dense_hamiltonian(monkeypatch, tmp_path):
+    """Neither the scan nor the quench builds a dense physical Hamiltonian
+    or a dense step map: the scan reads the step as an edge list."""
     def dense(*args, **kwargs):
-        raise RuntimeError("a driver built a dense physical Hamiltonian")
+        raise RuntimeError("a driver built a dense physical-space matrix")
 
-    for module in (algebra, drivers, oracle):
-        for name in ("edges_to_dense", "total_hamiltonian"):
+    for module in (algebra, drivers, oracle, schedule):
+        for name in ("edges_to_dense", "total_hamiltonian", "schedule_physical_map"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, dense)
     monkeypatch.setattr(drivers, "SCAN_STEPS", (4,))

@@ -167,6 +167,16 @@ def test_trotter_distance_rejects_a_step_that_couples_blocks(layout22, cpl1):
     step[i, j] = 1e-9
     with pytest.raises(RuntimeError, match="couples blocks"):
         ev.trotter_distance(step, 3, 0.9)
+    # an edge list whose one extra edge joins two blocks of the same size:
+    # the same stack, different rows
+    idx = next(idx for idx, _, _ in ev.blocks if idx.shape[0] > 1)
+    dim, rows, cols, vals = as_edges(ev.propagator(0.3))
+    assert ev.trotter_distance((dim, rows, cols, vals), 3, 0.9) < 1e-12
+    leaky = (dim, np.append(rows, idx[0, 0]), np.append(cols, idx[1, 0]), np.append(vals, 1e-9))
+    with pytest.raises(RuntimeError, match="couples blocks"):
+        ev.trotter_distance(leaky, 3, 0.9)
+    with pytest.raises(ValueError, match="dimension"):
+        ev.trotter_distance(np.eye(dim - 1), 3, 0.9)
 
 
 def test_distance_metrics():

@@ -15,6 +15,7 @@ from zngauge.algebra import (
     Couplings,
     TERM_NAMES,
     expm_from_hermitian,
+    hamiltonian_edges,
     gauss_law_operator,
     random_gauge_invariant_physical,
 )
@@ -38,10 +39,12 @@ from zngauge.schedule import (
     execute_support,
     plaquette_curl,
     gauge_away_phases,
+    physical_edges,
     schedule_physical_map,
     solve_vertex_potential,
     spurious_phase_field,
 )
+from zngauge.oracle import ExactEvolver
 from zngauge.stators import COLLISION_ANGLE, GateOp, gate_matrix
 
 TAU = 0.1
@@ -694,6 +697,25 @@ def test_packed_map_matches_column_map(layout22, cpl1, monkeypatch, mode, order)
         check_packed_map(sched, op_range)
         assert [c[:2] for c in calls] == [(tuple(layout22.dims) + (k,), 3 * k) for k in ks]
         assert sum(dropped for _, _, dropped in calls) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", ["choreography", "direct"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_physical_edges_are_coalesced_and_give_the_dense_distance(layout22, cpl1, mode,
+                                                                  order):
+    """The edge list of the whole step and of every substep is row-major with
+    strictly ascending keys and no zero value, and the Trotter distance reads
+    the same value from it as from the dense map, bit for bit."""
+    sched = compile_step(layout22, cpl1, TAU, mode, order)
+    ev = ExactEvolver(hamiltonian_edges(layout22, TERM_NAMES, cpl1))
+    for op_range in [None] + [(lo, hi) for _, lo, hi in sched.substeps]:
+        edges = physical_edges(sched, op_range)
+        dim, rows, cols, vals = edges
+        assert dim == layout22.physical_dim
+        assert (np.diff(rows * dim + cols) > 0).all()
+        assert vals.all()
+        dense = schedule_physical_map(sched, op_range)
+        assert ev.trotter_distance(edges, 3, 3 * TAU) == ev.trotter_distance(dense, 3, 3 * TAU)
 
 
 def test_map_raises_when_the_support_kernel_drops_a_real_norm(layout22, cpl1, monkeypatch):
